@@ -70,10 +70,10 @@ race-cluster:
 
 # Stress the compiled inference path under the race detector: one plan shared
 # by concurrent estimators (the scratch pool), engine precision tiers, and
-# plan re-lowering racing hot swaps.
+# f32 artifacts published by hot swaps under load.
 race-infer:
 	$(GO) test -race -count=3 ./internal/infer -run 'Concurrent|Plan|Gate'
-	$(GO) test -race -count=3 ./internal/serving -run 'Precision|GateFallback|SwapRelowers'
+	$(GO) test -race -count=3 ./internal/serving -run 'Precision|GateFallback|SwapServesNewPlan|SwapUnderLoad'
 
 # Stress the autopilot's closed loop under the race detector: the full
 # drift → retrain → shadow → swap cycle, mid-retrain kill and resume, the
@@ -107,8 +107,8 @@ bench-autopilot:
 	$(GO) run ./cmd/cardnet -mode autopilotbench -dataset HM-ImageNet -n 1200 \
 		-calls 1500 -benchout results/BENCH_autopilot.json
 
-# Kernel-level GFLOP/s table for the inference fast path: the f64/f32/int8
-# ABT kernels, int8 activation quantization, and the zero-skip-vs-branch-free
-# dense matmul comparison, all at the trainbench harness shape.
+# Kernel-level GFLOP/s table for the inference fast path: the f64/f32 ABT
+# kernels and the zero-skip-vs-branch-free dense matmul comparison, all at
+# the trainbench harness shape.
 bench-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|KernelInt8|ZeroSkip' -benchmem
+	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|ZeroSkip' -benchmem

@@ -105,9 +105,9 @@ func main() {
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = half the CPUs)")
 	benchEpochs := flag.Int("benchepochs", 8, "trainbench: training epochs per worker configuration")
 	cacheEntries := flag.Int("cache", 4096, "serve: estimate cache entries (negative disables)")
-	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32 | int8); compiled tiers serve only if the accuracy gate passes, else f64")
-	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs f64 a compiled precision tier may add before falling back")
-	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the precision gate evaluates per (re)lowering")
+	precision := flag.String("precision", "f64", "serve: inference precision tier (f64 | f32); f32 serves its compiled plan only if the accuracy gate passes, else f64")
+	precisionGateDelta := flag.Float64("precision-gate-delta", infer.DefaultGateMaxDelta, "serve: max q-error p99 delta vs f64 the f32 plan may add before falling back")
+	precisionGateSweep := flag.Int("precision-gate-sweep", infer.DefaultGateSweep, "serve: validation queries the precision gate evaluates per model version")
 	traceRate := flag.Float64("trace-sample-rate", 0.01, "serve/router: fraction of requests whose traces are written to -tracelog")
 	traceLog := flag.String("tracelog", "off", `serve/router: JSONL request-trace log path ("off" = disabled)`)
 	auditRate := flag.Float64("audit-sample-rate", 0, "serve: fraction of estimates replayed against the exact oracle (Hamming datasets only; 0 = off)")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cardnet/internal/core"
+	"cardnet/internal/metrics"
 	"cardnet/internal/obs"
 	"cardnet/internal/obs/runtimeobs"
 	"cardnet/internal/obs/slo"
@@ -165,17 +166,10 @@ func summarize(durs []float64) latencyStats {
 	for _, d := range sorted {
 		sum += d
 	}
-	pick := func(q float64) float64 {
-		i := int(q * float64(len(sorted)))
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
 	return latencyStats{
 		Calls:     len(sorted),
-		P50Micros: pick(0.50),
-		P99Micros: pick(0.99),
+		P50Micros: metrics.Quantile(sorted, 0.50),
+		P99Micros: metrics.Quantile(sorted, 0.99),
 		MeanMicro: sum / float64(len(sorted)),
 	}
 }

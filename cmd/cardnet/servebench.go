@@ -12,6 +12,7 @@ import (
 
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
+	"cardnet/internal/metrics"
 	"cardnet/internal/obs"
 	"cardnet/internal/obs/monitor"
 	"cardnet/internal/serving"
@@ -78,7 +79,7 @@ type precisionTier struct {
 	Points         []precisionPoint `json:"points"`
 }
 
-// precisionSection is the f64→f32→int8 trajectory of the compiled inference
+// precisionSection is the f64→f32 trajectory of the compiled inference
 // fast path, measured on the direct forward (no queue/cache) at each batch
 // size — the per-batch cost a serving worker pays.
 type precisionSection struct {
@@ -104,7 +105,7 @@ type serveBenchReport struct {
 	Tracing traceBench   `json:"tracing"`
 	// Admission records what overloaded clients see (503 + Retry-After).
 	Admission *admissionBench `json:"admission,omitempty"`
-	// Precision is the compiled-inference trajectory: f64 vs f32 vs int8
+	// Precision is the compiled-inference trajectory: f64 vs f32
 	// forward latency/throughput with the accuracy-delta gate verdicts.
 	Precision *precisionSection `json:"precision,omitempty"`
 	// Cluster, Failover, and ClusterTracing are the -cluster router
@@ -196,9 +197,9 @@ func runServeBench(m *core.Model, testX *tensor.Matrix, calls int) (*serveBenchR
 // benchPrecision measures the precision trajectory: each tier's direct
 // batched forward (the path a serving worker runs per flush) at batch sizes
 // 1/8/64, with the accuracy-delta gate evaluated exactly as serving would.
-// The f64 tier is the legacy exact forward; f32/int8 run the compiled fused
-// plan when their gate passes and fall back to the f64 forward — recorded as
-// such — when it does not.
+// The f64 tier is the exact forward; f32 runs the compiled fused plan when
+// its gate passes and falls back to the f64 forward — recorded as such —
+// when it does not.
 func benchPrecision(m *core.Model, testX *tensor.Matrix, calls int) (*precisionSection, error) {
 	gc := infer.GateConfig{Seed: 1}.WithDefaults()
 	sec := &precisionSection{
@@ -207,7 +208,7 @@ func benchPrecision(m *core.Model, testX *tensor.Matrix, calls int) (*precisionS
 		Batches:      []int{1, 8, 64},
 	}
 	baseP50 := map[int]float64{}
-	for _, tier := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32, infer.PrecisionInt8} {
+	for _, tier := range []infer.Precision{infer.PrecisionF64, infer.PrecisionF32} {
 		plan, gate, err := infer.Compile(m, tier, gc)
 		if err != nil {
 			return nil, err
@@ -383,8 +384,8 @@ func benchTracing(m *core.Model, testX *tensor.Matrix, calls int, tauOf func(int
 	}
 	if len(waits) > 0 {
 		sort.Float64s(waits)
-		out.QueueWaitP50Us = pickQuantile(waits, 0.50)
-		out.QueueWaitP95Us = pickQuantile(waits, 0.95)
+		out.QueueWaitP50Us = metrics.Quantile(waits, 0.50)
+		out.QueueWaitP95Us = metrics.Quantile(waits, 0.95)
 	}
 	if len(sizes) > 0 {
 		var s float64
@@ -403,15 +404,6 @@ func flushCounts() map[string]uint64 {
 		serving.FlushDeadline: obs.Default.Counter("serving.batch.flush_deadline").Value(),
 		serving.FlushShutdown: obs.Default.Counter("serving.batch.flush_shutdown").Value(),
 	}
-}
-
-// pickQuantile picks the nearest-rank quantile from a sorted slice.
-func pickQuantile(sorted []float64, q float64) float64 {
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // verifyBatchIdentical checks byte-for-byte equality of the batched and

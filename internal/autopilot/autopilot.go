@@ -7,7 +7,9 @@
 // serving registry only when the candidate wins both the rolling q-error
 // comparison and a Lemma-2 monotonicity sweep (infer.MonoSweep) — MonoM's
 // observation that monotonicity must be re-verified on every retrained
-// estimator, applied as a gate in front of the swap.
+// estimator, applied as a gate in front of the swap. Both judge the
+// candidate's prepared serving artifact (serving.Registry.Prepare, at the
+// engine's precision tier), and a win publishes that same artifact.
 //
 // The pilot is a state machine:
 //
@@ -215,6 +217,10 @@ type Decision struct {
 	MonoViolations  int       `json:"mono_violations"`
 	CandidateEpochs int       `json:"candidate_epochs"`
 	ModelVersion    uint64    `json:"model_version,omitempty"` // post-swap registry version
+
+	// served is the prepared artifact the decision judged and, on a swap,
+	// published (nil when the registry refused the candidate).
+	served *serving.Served
 }
 
 // Status is the pilot's /healthz block.
@@ -627,14 +633,42 @@ func (p *Pilot) trainCandidate(train, valid *core.TrainSet, st *core.TrainerStat
 	return cand, false
 }
 
-// shadowAndDecide dual-runs sampled live traffic through the candidate,
-// scores both models against ground truth, runs the monotonicity sweep, and
-// either hot-swaps the registry or rejects the candidate. It reports false
-// when the pilot closed before a verdict was reached — the candidate then
-// stays staged so a restart resumes straight into shadow.
+// shadowAndDecide prepares the candidate's serving artifact once — compiled
+// at the engine's precision tier and gate — then dual-runs sampled live
+// traffic through that artifact, scores both against ground truth, runs the
+// monotonicity sweep on it, and either publishes that same artifact or
+// rejects it. It reports false when the pilot closed before a verdict was
+// reached — the candidate then stays staged so a restart resumes straight
+// into shadow.
 func (p *Pilot) shadowAndDecide(cand *core.Model) bool {
 	p.setState(StateShadow)
-	ev := newShadowEval(cand, p.label, p.cfg.ShadowRate, p.cfg.ShadowMin)
+	d := &Decision{Event: "reject", CandidateEpochs: int(p.candEpochs.Load())}
+	if s, err := p.reg.Prepare(cand); err != nil {
+		d.Reason = fmt.Sprintf("registry refused candidate: %v", err)
+	} else if !p.judge(s, d) {
+		return false
+	}
+	if d.Event == "swap" {
+		p.transition(StateSwap, d.Reason, map[string]any{
+			"model_version": d.ModelVersion, "shadow_rows": d.ShadowRows,
+			"live_q": d.LiveQGeoMean, "cand_q": d.CandQGeoMean,
+		})
+	} else {
+		p.transition(StateReject, d.Reason, map[string]any{
+			"shadow_rows": d.ShadowRows, "live_q": d.LiveQGeoMean, "cand_q": d.CandQGeoMean,
+			"mono_violations": d.MonoViolations,
+		})
+	}
+	p.recordDecision(d)
+	return true
+}
+
+// judge shadow-scores the prepared artifact s, sweeps it for Lemma-2
+// violations, and publishes it if it wins, filling in d. It reports false
+// when the pilot closed before the shadow phase ended.
+func (p *Pilot) judge(s *serving.Served, d *Decision) bool {
+	d.served = s
+	ev := newShadowEval(s, p.label, p.cfg.ShadowRate, p.cfg.ShadowMin)
 	p.eng.SetShadowTap(ev.tap)
 	defer func() {
 		p.eng.SetShadowTap(nil)
@@ -648,55 +682,39 @@ func (p *Pilot) shadowAndDecide(cand *core.Model) bool {
 		return false
 	}
 	rows, liveG, candG := ev.summary()
+	d.ShadowRows, d.LiveQGeoMean, d.CandQGeoMean = rows, liveG, candG
 
-	d := &Decision{
-		Event:           "reject",
-		ShadowRows:      rows,
-		LiveQGeoMean:    liveG,
-		CandQGeoMean:    candG,
-		CandidateEpochs: int(p.candEpochs.Load()),
-	}
 	switch {
 	case rows < p.cfg.ShadowMin:
 		d.Reason = fmt.Sprintf("insufficient shadow traffic: %d of %d rows before timeout", rows, p.cfg.ShadowMin)
+		return true
 	case candG > liveG*p.cfg.WinRatio:
 		d.Reason = fmt.Sprintf("candidate q-error geomean %.4f exceeds live %.4f × win ratio %.2f", candG, liveG, p.cfg.WinRatio)
-	default:
-		d.MonoViolations = infer.MonoSweep(cand, p.cfg.GateSweep, p.cfg.GateSeed)
-		if d.MonoViolations > 0 {
-			d.Reason = fmt.Sprintf("%d of %d monotonicity sweep curves violate Lemma 2", d.MonoViolations, p.cfg.GateSweep)
-		} else if p.Inhibited() {
-			d.Reason = "swap inhibited by operator"
-		} else {
-			version, err := p.reg.Swap(cand)
-			if err != nil {
-				d.Reason = fmt.Sprintf("registry refused swap: %v", err)
-			} else {
-				d.Event = "swap"
-				d.Reason = fmt.Sprintf("candidate q-error geomean %.4f ≤ live %.4f, 0 monotonicity violations", candG, liveG)
-				d.ModelVersion = version
-				if p.cfg.PublishPath != "" {
-					if err := checkpoint.SaveModel(p.cfg.PublishPath, cand); err != nil {
-						// The swap already happened; publication failure only
-						// affects the next restart. Journal it.
-						p.transition(StateSwap, "publish after swap failed", map[string]any{"error": err.Error()})
-					}
-				}
-			}
+		return true
+	}
+	d.MonoViolations = infer.MonoSweep(s.EstimateAllTausBatch, s.Model.InDim, p.cfg.GateSweep, p.cfg.GateSeed)
+	switch {
+	case d.MonoViolations > 0:
+		d.Reason = fmt.Sprintf("%d of %d monotonicity sweep curves violate Lemma 2", d.MonoViolations, p.cfg.GateSweep)
+		return true
+	case p.Inhibited():
+		d.Reason = "swap inhibited by operator"
+		return true
+	}
+	if err := p.reg.Publish(s); err != nil {
+		d.Reason = fmt.Sprintf("registry refused swap: %v", err)
+		return true
+	}
+	d.Event = "swap"
+	d.Reason = fmt.Sprintf("candidate q-error geomean %.4f ≤ live %.4f, 0 monotonicity violations", candG, liveG)
+	d.ModelVersion = s.Version
+	if p.cfg.PublishPath != "" {
+		if err := checkpoint.SaveModel(p.cfg.PublishPath, s.Model); err != nil {
+			// The swap already happened; publication failure only affects
+			// the next restart. Journal it.
+			p.transition(StateSwap, "publish after swap failed", map[string]any{"error": err.Error()})
 		}
 	}
-	if d.Event == "swap" {
-		p.transition(StateSwap, d.Reason, map[string]any{
-			"model_version": d.ModelVersion, "shadow_rows": rows,
-			"live_q": liveG, "cand_q": candG,
-		})
-	} else {
-		p.transition(StateReject, d.Reason, map[string]any{
-			"shadow_rows": rows, "live_q": liveG, "cand_q": candG,
-			"mono_violations": d.MonoViolations,
-		})
-	}
-	p.recordDecision(d)
 	return true
 }
 

@@ -2,16 +2,21 @@ package autopilot
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"cardnet/internal/checkpoint"
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
+	"cardnet/internal/metrics"
 	"cardnet/internal/obs"
 	"cardnet/internal/obs/monitor"
 	"cardnet/internal/serving"
+	"cardnet/internal/tensor"
 )
 
 // tinyModel returns a small untrained model matching the serve tests' shape.
@@ -199,6 +204,121 @@ func TestForcedCycleSwaps(t *testing.T) {
 	// Staging is cleaned after a completed cycle.
 	if _, err := os.Stat(filepath.Join(dir, "candidate.gob")); !os.IsNotExist(err) {
 		t.Fatalf("candidate still staged after swap: %v", err)
+	}
+}
+
+// TestJudgesAndPublishesPreparedF32Artifact runs one shadow verdict on an
+// engine serving f32 and checks that the pilot judges exactly what will
+// serve: the live rows handed to the tap are the live artifact's f32 output,
+// the candidate is scored and swept through its prepared f32 artifact (no
+// f64 forward of the candidate beyond the gate's own reference sweep), and
+// the pointer published is the one judged.
+func TestJudgesAndPublishesPreparedF32Artifact(t *testing.T) {
+	const engineSweep, pilotSweep = 64, 40
+	eng := serving.NewEngine(serving.NewRegistry(tinyModel(3)), serving.Config{
+		CacheEntries: -1, Precision: infer.PrecisionF32, GateSweep: engineSweep,
+	})
+	t.Cleanup(eng.Close)
+	live := eng.Registry().Served()
+	if live.Plan == nil {
+		t.Fatalf("live model not served by its f32 plan: %+v", live.Gate)
+	}
+
+	// The labeler runs once per scored row, in scoring order, so it records
+	// exactly which rows the shadow geomeans cover.
+	var mu sync.Mutex
+	var scored [][]float64
+	label := func(x []float64, tauTop int) ([]float64, error) {
+		mu.Lock()
+		scored = append(scored, append([]float64(nil), x...))
+		mu.Unlock()
+		return truthLabeler(x, tauTop)
+	}
+	mon := monitor.New(monitor.Config{Window: 64, BaselineN: 4, EWMAAlpha: 0.5}, obs.NewRegistry())
+	p, err := New(Config{
+		Dir: t.TempDir(), ShadowRate: 1, ShadowMin: 24, ShadowTimeout: 20 * time.Second,
+		WinRatio: 1e9, GateSweep: pilotSweep,
+	}, eng, mon, label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	f64Rows := obs.Default.Counter("core.estimate_batch.rows")
+	rows0 := f64Rows.Value()
+	cand := tinyModel(9)
+	done := make(chan bool)
+	go func() { done <- p.shadowAndDecide(cand) }()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := eng.EstimateAll(context.Background(), binX(i%32)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	decided := <-done
+	close(stop)
+	wg.Wait()
+	if !decided {
+		t.Fatal("shadow phase did not reach a verdict")
+	}
+	if got := f64Rows.Value() - rows0; got != engineSweep {
+		t.Fatalf("f64 forward ran %d rows during the verdict, want only the gate's %d reference rows", got, engineSweep)
+	}
+
+	d := p.Status().LastDecision
+	if d == nil || d.Event != "swap" {
+		t.Fatalf("decision: %+v", d)
+	}
+	judged := d.served
+	if judged == nil || judged.Model != cand || judged.Plan == nil || judged.Gate.Tier != infer.PrecisionF32 {
+		t.Fatalf("candidate not judged through its prepared f32 artifact: %+v", judged)
+	}
+	if pub := eng.Registry().Served(); pub != judged || pub.Version != d.ModelVersion {
+		t.Fatalf("published %p (version %d), judged %p (decision version %d)", pub, pub.Version, judged, d.ModelVersion)
+	}
+
+	// Recompute both geomeans over the scored rows, accumulating exactly as
+	// the evaluator does; they must match bit for bit.
+	mu.Lock()
+	rows := scored[:d.ShadowRows]
+	mu.Unlock()
+	geo := func(forward func(*tensor.Matrix) *tensor.Matrix) float64 {
+		var sum float64
+		terms := 0
+		for _, x := range rows {
+			truth, _ := truthLabeler(x, cand.Cfg.TauMax)
+			est := forward(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}).Row(0)
+			var rowSum float64
+			for tau := range truth {
+				rowSum += math.Log(metrics.QError(truth[tau], est[tau]))
+			}
+			sum += rowSum
+			terms += len(truth)
+		}
+		return math.Exp(sum / float64(terms))
+	}
+	if want := geo(live.EstimateAllTausBatch); d.LiveQGeoMean != want {
+		t.Fatalf("live geomean %v, live artifact's output gives %v", d.LiveQGeoMean, want)
+	}
+	want, f64 := geo(judged.EstimateAllTausBatch), geo(cand.EstimateAllTausBatch)
+	if want == f64 {
+		t.Fatal("f32 and f64 candidate geomeans coincide; the test cannot tell the tiers apart")
+	}
+	if d.CandQGeoMean != want {
+		t.Fatalf("candidate geomean %v, prepared f32 artifact gives %v (f64 model gives %v)", d.CandQGeoMean, want, f64)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cardnet/internal/core"
 	"cardnet/internal/metrics"
+	"cardnet/internal/serving"
 	"cardnet/internal/tensor"
 )
 
@@ -19,15 +19,15 @@ type shadowBatch struct {
 }
 
 // shadowEval dual-runs a sampled fraction of live traffic through a retrained
-// candidate and scores both models against ground truth. The tap side is the
-// engine's hot path, so it does the minimum — counter sampling, two row
-// copies, a non-blocking channel send (full channel drops the batch and
-// counts it). The expensive work — the candidate's forward pass and the
-// oracle labels — happens on the evaluator goroutine. The live model's
-// responses are never touched: shadow evaluation observes traffic, it does
-// not sit in front of it.
+// candidate's prepared serving artifact and scores both against ground
+// truth. The tap side is the engine's hot path, so it does the minimum —
+// counter sampling, two row copies, a non-blocking channel send (full
+// channel drops the batch and counts it). The expensive work — the
+// candidate's forward pass and the oracle labels — happens on the evaluator
+// goroutine. The live model's responses are never touched: shadow evaluation
+// observes traffic, it does not sit in front of it.
 type shadowEval struct {
-	cand  *core.Model
+	cand  *serving.Served
 	label Labeler
 	every uint64 // sample 1 in every batches
 	min   int
@@ -48,7 +48,7 @@ type shadowEval struct {
 	candLogSum float64
 }
 
-func newShadowEval(cand *core.Model, label Labeler, rate float64, min int) *shadowEval {
+func newShadowEval(cand *serving.Served, label Labeler, rate float64, min int) *shadowEval {
 	every := uint64(math.Round(1 / rate))
 	if every < 1 {
 		every = 1

@@ -4,8 +4,9 @@
 // numeric LoweredModel — deep-copied weight matrices, biases folded, and the
 // CardNet-A head projections algebraically fused with both the
 // embedding-region scatter and the per-distance decoders. internal/infer
-// consumes a LoweredModel to build precision-tiered (f32/int8) plans; the f64
-// evaluator here is the fusion reference those tiers are gated against,
+// consumes a LoweredModel to build its float32 plan — compiled once per model
+// version into the serving registry's published Served artifact; the f64
+// evaluator here is the fusion reference tests compare that plan against,
 // isolating fusion error (reassociation only, ~1e-12) from precision error.
 //
 // The CardNet-A fusion: the stock forward computes, per hidden layer j with
@@ -44,7 +45,7 @@ import (
 // LoweredDense is one dense layer of a lowered model: out = act(x·W + b)
 // with the weights stored pre-transposed (In×Out) so the f64 reference
 // evaluator runs the branch-free MatMulDense kernel in a·b form. Consumers
-// building other layouts (internal/infer's ABT-form f32/int8 plans)
+// building other layouts (internal/infer's ABT-form f32 plan)
 // re-transpose at compile time; both are one-off copies.
 type LoweredDense struct {
 	In, Out int

@@ -94,34 +94,46 @@ func qErrP99(got, want *tensor.Matrix) float64 {
 	return qs[idx]
 }
 
-// MonoSweep evaluates sweep seeded pseudo-random binary queries through m and
-// returns how many of the resulting τ-sweep curves violate Lemma 2
-// monotonicity (core.CurveMonotone). It is the model-level half of the gate
-// Compile runs on compiled plans: the autopilot runs it over every retrained
-// candidate before a swap, because incremental training preserves the
-// architecture's monotone construction but a verification sweep is what turns
-// that argument into a checked invariant (zero violations required to swap).
-// The sweep generation matches Compile's, so sweep/seed pairs are comparable
-// across both gates.
-func MonoSweep(m *core.Model, sweep int, seed int64) int {
-	if sweep <= 0 {
-		sweep = DefaultGateSweep
-	}
+// sweepInputs returns the gate's seeded pseudo-random binary validation
+// queries, sweep rows of inDim features.
+func sweepInputs(sweep, inDim int, seed int64) *tensor.Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	xs := tensor.NewMatrix(sweep, m.InDim)
+	xs := tensor.NewMatrix(sweep, inDim)
 	for i := range xs.Data {
 		if rng.Intn(2) == 1 {
 			xs.Data[i] = 1
 		}
 	}
-	all := m.EstimateAllTausBatch(xs)
-	violations := 0
+	return xs
+}
+
+// monoViolations counts the rows of a curve matrix that violate Lemma 2
+// monotonicity (core.CurveMonotone).
+func monoViolations(all *tensor.Matrix) int {
+	n := 0
 	for r := 0; r < all.Rows; r++ {
 		if !core.CurveMonotone(all.Row(r)) {
-			violations++
+			n++
 		}
 	}
-	return violations
+	return n
+}
+
+// MonoSweep evaluates sweep seeded pseudo-random binary queries of inDim
+// features through forward — the batch estimator of the artifact that will
+// serve — and returns how many of the resulting τ-sweep curves violate
+// Lemma 2 monotonicity (core.CurveMonotone). The autopilot runs it over every
+// retrained candidate's prepared serving artifact before a swap: incremental
+// training preserves the architecture's monotone construction, but a
+// verification sweep on what actually runs is what turns that argument into
+// a checked invariant (zero violations required to swap). The sweep
+// generation matches Compile's, so sweep/seed pairs are comparable across
+// both gates.
+func MonoSweep(forward func(*tensor.Matrix) *tensor.Matrix, inDim, sweep int, seed int64) int {
+	if sweep <= 0 {
+		sweep = DefaultGateSweep
+	}
+	return monoViolations(forward(sweepInputs(sweep, inDim, seed)))
 }
 
 // Compile lowers m to the requested tier and runs the accuracy-delta gate: a
@@ -132,7 +144,7 @@ func MonoSweep(m *core.Model, sweep int, seed int64) int {
 // returns a nil plan and a GateResult directing the caller back to the f64
 // path — the compiled tier never serves estimates the gate has not vouched
 // for. Requesting PrecisionF64 trivially passes with a nil plan (f64 is the
-// legacy exact path, not a compiled plan).
+// exact path, not a compiled plan).
 func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, error) {
 	gc = gc.WithDefaults()
 	res := GateResult{
@@ -151,22 +163,10 @@ func Compile(m *core.Model, tier Precision, gc GateConfig) (*Plan, GateResult, e
 		return nil, res, err
 	}
 
-	rng := rand.New(rand.NewSource(gc.Seed))
-	xs := tensor.NewMatrix(gc.Sweep, m.InDim)
-	for i := range xs.Data {
-		if rng.Intn(2) == 1 {
-			xs.Data[i] = 1
-		}
-	}
-	want := m.EstimateAllTausBatch(xs)
+	xs := sweepInputs(gc.Sweep, m.InDim, gc.Seed)
 	got := p.EstimateAllTausBatch(xs)
-
-	res.QErrP99Delta = qErrP99(got, want) - 1
-	for e := 0; e < got.Rows; e++ {
-		if !core.CurveMonotone(got.Row(e)) {
-			res.MonoViolations++
-		}
-	}
+	res.QErrP99Delta = qErrP99(got, m.EstimateAllTausBatch(xs)) - 1
+	res.MonoViolations = monoViolations(got)
 
 	switch {
 	case res.MonoViolations > 0:

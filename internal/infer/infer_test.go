@@ -58,7 +58,7 @@ func TestParsePrecision(t *testing.T) {
 		{"", PrecisionF64, true},
 		{"f64", PrecisionF64, true},
 		{"f32", PrecisionF32, true},
-		{"int8", PrecisionInt8, true},
+		{"int8", "", false},
 		{"fp16", "", false},
 		{"F32", "", false},
 	} {
@@ -97,23 +97,21 @@ func TestF32PlanMatchesF64(t *testing.T) {
 	}
 }
 
-// TestPlanCurvesMonotone is the Lemma 2 property: every curve out of every
-// compiled tier must pass core.CurveMonotone, across fuzzed inputs.
+// TestPlanCurvesMonotone is the Lemma 2 property: every curve out of the
+// compiled plan must pass core.CurveMonotone, across fuzzed inputs.
 func TestPlanCurvesMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for ci, cfg := range testConfigs() {
 		m := core.New(cfg, 12)
-		for _, tier := range []Precision{PrecisionF32, PrecisionInt8} {
-			p, err := Lower(m, tier)
-			if err != nil {
-				t.Fatalf("cfg %d %s: Lower: %v", ci, tier, err)
-			}
-			xs := randomBinary(rng, 16, 12)
-			got := p.EstimateAllTausBatch(xs)
-			for e := 0; e < got.Rows; e++ {
-				if !core.CurveMonotone(got.Row(e)) {
-					t.Fatalf("cfg %d tier %s: curve %d not monotone: %v", ci, tier, e, got.Row(e))
-				}
+		p, err := Lower(m, PrecisionF32)
+		if err != nil {
+			t.Fatalf("cfg %d: Lower: %v", ci, err)
+		}
+		xs := randomBinary(rng, 16, 12)
+		got := p.EstimateAllTausBatch(xs)
+		for e := 0; e < got.Rows; e++ {
+			if !core.CurveMonotone(got.Row(e)) {
+				t.Fatalf("cfg %d: curve %d not monotone: %v", ci, e, got.Row(e))
 			}
 		}
 	}
@@ -170,7 +168,7 @@ func TestPlanImmutable(t *testing.T) {
 func TestPlanConcurrent(t *testing.T) {
 	cfg := testConfigs()[0]
 	m := core.New(cfg, 12)
-	p, err := Lower(m, PrecisionInt8)
+	p, err := Lower(m, PrecisionF32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,29 +199,26 @@ func TestPlanConcurrent(t *testing.T) {
 	}
 }
 
-// TestCompileGatePasses checks the happy path: on a healthy model both
-// compiled tiers clear the accuracy gate and report their own tier as
-// serving.
+// TestCompileGatePasses checks the happy path: on a healthy model the f32
+// plan clears the accuracy gate and reports f32 as serving.
 func TestCompileGatePasses(t *testing.T) {
 	for ci, cfg := range testConfigs() {
 		m := core.New(cfg, 12)
-		for _, tier := range []Precision{PrecisionF32, PrecisionInt8} {
-			p, res, err := Compile(m, tier, GateConfig{Seed: 29})
-			if err != nil {
-				t.Fatalf("cfg %d %s: %v", ci, tier, err)
-			}
-			if !res.Pass || res.Tier != tier || p == nil {
-				t.Fatalf("cfg %d %s: gate failed on healthy model: %+v", ci, tier, res)
-			}
-			if res.MonoViolations != 0 {
-				t.Fatalf("cfg %d %s: %d monotonicity violations", ci, tier, res.MonoViolations)
-			}
+		p, res, err := Compile(m, PrecisionF32, GateConfig{Seed: 29})
+		if err != nil {
+			t.Fatalf("cfg %d: %v", ci, err)
+		}
+		if !res.Pass || res.Tier != PrecisionF32 || p == nil {
+			t.Fatalf("cfg %d: gate failed on healthy model: %+v", ci, res)
+		}
+		if res.MonoViolations != 0 {
+			t.Fatalf("cfg %d: %d monotonicity violations", ci, res.MonoViolations)
 		}
 	}
 }
 
 // TestCompileF64NoPlan checks that requesting f64 yields no plan and a
-// trivially passing gate — f64 names the legacy exact path.
+// trivially passing gate — f64 names the exact model path.
 func TestCompileF64NoPlan(t *testing.T) {
 	m := core.New(testConfigs()[0], 12)
 	p, res, err := Compile(m, PrecisionF64, GateConfig{})
@@ -232,39 +227,20 @@ func TestCompileF64NoPlan(t *testing.T) {
 	}
 }
 
-// TestCompileGateFallback is the acceptance-required fallback property: a
-// deliberately clipped model must fail the int8 gate and fall back to f64,
-// while f32 (which represents the clipped weights exactly and loses nothing)
-// still passes. The clipping blows the first trunk layer's input-0 column up
-// to -1e6: every per-output-channel int8 scale becomes ≈1e6/127, collapsing
-// all the real weights in each row to zero, so the int8 plan loses the entire
-// signal for queries with feature 0 unset while the f64/f32 paths keep it.
+// TestCompileGateFallback is the acceptance-required fallback property: with
+// a bound below f32's measured q-error delta the gate must refuse the plan
+// and direct the caller back to f64, while the same model at the default
+// bound passes.
 func TestCompileGateFallback(t *testing.T) {
-	cfg := testConfigs()[1] // accel, no VAE: first trunk layer feeds everything
-	m := core.New(cfg, 12)
-	clipped := false
-	for _, prm := range m.Params() {
-		if prm.Name == "W" && len(prm.Value) == 24*12 { // first trunk layer, Out×In
-			for o := 0; o < 24; o++ {
-				prm.Value[o*12] = -1e6
-			}
-			clipped = true
-			break
-		}
-	}
-	if !clipped {
-		t.Fatal("first trunk layer weight not found")
-	}
-	gc := GateConfig{Seed: 31}
-
-	p, res, err := Compile(m, PrecisionInt8, gc)
+	m := core.New(testConfigs()[1], 12)
+	p, res, err := Compile(m, PrecisionF32, GateConfig{Seed: 31, MaxQErrP99Delta: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pass || p != nil {
-		t.Fatalf("int8 gate passed on clipped model: %+v", res)
+		t.Fatalf("f32 gate passed under a 1e-12 bound: %+v", res)
 	}
-	if res.Tier != PrecisionF64 || res.Requested != PrecisionInt8 {
+	if res.Tier != PrecisionF64 || res.Requested != PrecisionF32 {
 		t.Fatalf("gate failure must fall back to f64: %+v", res)
 	}
 	if res.QErrP99Delta <= res.MaxQErrP99Delta {
@@ -274,11 +250,38 @@ func TestCompileGateFallback(t *testing.T) {
 		t.Fatal("gate failure must carry a reason")
 	}
 
-	p32, res32, err := Compile(m, PrecisionF32, gc)
+	p32, res32, err := Compile(m, PrecisionF32, GateConfig{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res32.Pass || p32 == nil {
-		t.Fatalf("f32 should survive the clipped weight: %+v", res32)
+		t.Fatalf("f32 should pass at the default bound: %+v", res32)
+	}
+}
+
+// TestMonoSweepCountsViolations checks the sweep judges whatever estimator
+// it is handed: the f32 plan's curves are monotone, while a forward that
+// reverses every curve violates Lemma 2 on every non-flat row.
+func TestMonoSweepCountsViolations(t *testing.T) {
+	m := core.New(testConfigs()[0], 12)
+	p, err := Lower(m, PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := MonoSweep(p.EstimateAllTausBatch, m.InDim, 32, 5); n != 0 {
+		t.Fatalf("f32 plan: %d violations", n)
+	}
+	reversed := func(xs *tensor.Matrix) *tensor.Matrix {
+		all := p.EstimateAllTausBatch(xs)
+		for r := 0; r < all.Rows; r++ {
+			row := all.Row(r)
+			for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
+				row[i], row[j] = row[j], row[i]
+			}
+		}
+		return all
+	}
+	if n := MonoSweep(reversed, m.InDim, 32, 5); n == 0 {
+		t.Fatal("reversed curves passed the sweep")
 	}
 }

@@ -1,29 +1,23 @@
 // Package infer compiles trained CardNet / CardNet-A models into immutable
-// inference plans: the quantized fast path of the serving stack.
+// float32 inference plans: the compiled fast path of the serving stack.
 //
-// A Plan is built once per model load or hot swap from the fused
-// core.LoweredModel spec (biases folded, Φ′ head projections fused with the
-// embedding-region scatter and the per-distance decoders — see
-// internal/core/lowering.go for the algebra) and lowered to one of two
-// precision tiers:
+// A Plan is built once per model version from the fused core.LoweredModel
+// spec (biases folded, Φ′ head projections fused with the embedding-region
+// scatter and the per-distance decoders — see internal/core/lowering.go for
+// the algebra). Its weights are cast to float32 and evaluated with the
+// cache-blocked 4-wide-unrolled float32 kernels in internal/tensor.
 //
-//   - PrecisionF32: weights cast to float32, evaluated with the cache-blocked
-//     4-wide-unrolled float32 kernels in internal/tensor.
-//   - PrecisionInt8: dense-layer weights additionally quantized to int8 with
-//     per-output-channel symmetric scales; activations are dynamically
-//     quantized per row at each layer, inner products accumulate in int32,
-//     and results dequantize through float32. The per-distance decoder of the
-//     standard encoder and all bias/activation arithmetic stay float32 (those
-//     are O(rows) — quantizing them saves nothing and costs accuracy).
-//
-// PrecisionF64 deliberately has no Plan: it names the legacy exact
-// Model.EstimateAllTausBatch path, which keeps its bit-identical guarantees.
-// Tiers below f64 perturb the learned function, so — following the paper's
-// Lemma 2 contract and the monotonicity-under-perturbation argument that
-// motivated this design — a plan may only serve after Compile's accuracy gate
-// passes: q-error p99 vs the f64 path within a configured bound AND zero
-// CurveMonotone violations on the validation sweep. Gate failures fall back
-// to f64.
+// Two precision tiers exist. PrecisionF32 is the Plan. PrecisionF64
+// deliberately has no Plan: it names the exact Model.EstimateAllTausBatch
+// path, which keeps its bit-identical guarantees. f32 perturbs the learned
+// function, so — following the paper's Lemma 2 contract and the
+// monotonicity-under-perturbation argument that motivated this design — a
+// plan may only serve after Compile's accuracy gate passes: q-error p99 vs
+// the f64 path within a configured bound AND zero CurveMonotone violations
+// on the validation sweep. Gate failures fall back to f64. The serving
+// registry compiles each model version exactly once and publishes the plan
+// (or the f64 fallback) with its gate verdict as one artifact, so the gate
+// judges exactly what serves.
 //
 // Plans are immutable after compilation and safe for concurrent use; per-call
 // transients come from an internal sync.Pool, so steady-state forwards do not
@@ -43,12 +37,11 @@ import (
 // Precision names an inference precision tier.
 type Precision string
 
-// The supported precision tiers, ordered fastest-changing last: f64 is the
-// legacy exact path (no plan), f32 and int8 are compiled plans.
+// The supported precision tiers: f64 is the exact path (no plan), f32 is the
+// compiled plan.
 const (
-	PrecisionF64  Precision = "f64"
-	PrecisionF32  Precision = "f32"
-	PrecisionInt8 Precision = "int8"
+	PrecisionF64 Precision = "f64"
+	PrecisionF32 Precision = "f32"
 )
 
 // ParsePrecision validates a tier name (as given to the -precision flag).
@@ -59,27 +52,21 @@ func ParsePrecision(s string) (Precision, error) {
 		return PrecisionF64, nil
 	case PrecisionF32:
 		return PrecisionF32, nil
-	case PrecisionInt8:
-		return PrecisionInt8, nil
 	}
-	return "", fmt.Errorf("infer: unknown precision %q (want f64, f32, or int8)", s)
+	return "", fmt.Errorf("infer: unknown precision %q (want f64 | f32)", s)
 }
 
-// dense32 is one compiled dense layer: float32 weights in ABT (Out×In) form,
-// plus the int8 per-output-channel quantization when the plan tier is int8.
+// dense32 is one compiled dense layer: float32 weights in ABT (Out×In) form.
 type dense32 struct {
 	in, out int
-	w       *tensor.Matrix32    // Out×In
-	q       *tensor.QuantMatrix // nil unless tier int8
-	b       []float32           // nil = no bias
+	w       *tensor.Matrix32 // Out×In
+	b       []float32        // nil = no bias
 	act     nn.ActKind
 }
 
-// Plan is an immutable compiled inference model at one precision tier.
-// Build plans with Lower (ungated) or Compile (gated); the zero value is not
-// usable.
+// Plan is an immutable compiled float32 inference model. Build plans with
+// Lower (ungated) or Compile (gated); the zero value is not usable.
 type Plan struct {
-	tier     Precision
 	inDim    int
 	xpDim    int
 	tauCount int
@@ -105,9 +92,6 @@ type Plan struct {
 	pool sync.Pool // *scratch
 }
 
-// Tier reports the plan's precision tier.
-func (p *Plan) Tier() Precision { return p.tier }
-
 // InDim reports the expected feature dimensionality.
 func (p *Plan) InDim() int { return p.inDim }
 
@@ -127,26 +111,21 @@ func demoteT(wt *tensor.Matrix) *tensor.Matrix32 {
 	return w
 }
 
-// compileDense lowers one LoweredDense to the plan tier.
-func compileDense(d *core.LoweredDense, tier Precision) dense32 {
-	c := dense32{in: d.In, out: d.Out, w: demoteT(d.WT), b: tensor.Demote32Vec(d.B), act: d.Act}
-	if tier == PrecisionInt8 {
-		c.q = tensor.QuantizeRows(c.w, nil)
-	}
-	return c
+// compileDense lowers one LoweredDense to float32.
+func compileDense(d *core.LoweredDense) dense32 {
+	return dense32{in: d.In, out: d.Out, w: demoteT(d.WT), b: tensor.Demote32Vec(d.B), act: d.Act}
 }
 
-// Lower compiles a model into an ungated plan at the given tier (f32 or
-// int8). Serving paths should use Compile, which runs the accuracy gate;
-// Lower exists for benchmarks and tests that need the plan regardless of
-// gate outcome.
+// Lower compiles a model into an ungated plan at the given tier (only f32
+// has a plan). Serving paths should use Compile, which runs the accuracy
+// gate; Lower exists for benchmarks and tests that need the plan regardless
+// of gate outcome.
 func Lower(m *core.Model, tier Precision) (*Plan, error) {
-	if tier != PrecisionF32 && tier != PrecisionInt8 {
-		return nil, fmt.Errorf("infer: no plan for tier %q (f64 is the legacy model path)", tier)
+	if tier != PrecisionF32 {
+		return nil, fmt.Errorf("infer: no plan for tier %q (f64 is the exact model path)", tier)
 	}
 	lm := m.Lower()
 	p := &Plan{
-		tier:     tier,
 		inDim:    lm.InDim,
 		xpDim:    lm.XpDim,
 		tauCount: lm.TauCount,
@@ -154,26 +133,19 @@ func Lower(m *core.Model, tier Precision) (*Plan, error) {
 		accel:    lm.Accel,
 	}
 	for i := range lm.VAE {
-		p.vae = append(p.vae, compileDense(&lm.VAE[i], tier))
+		p.vae = append(p.vae, compileDense(&lm.VAE[i]))
 	}
 	if lm.Accel {
 		p.headBias = tensor.Demote32Vec(lm.HeadBias)
 		for j := range lm.Trunk {
-			p.trunk = append(p.trunk, compileDense(&lm.Trunk[j], tier))
-			h := dense32{in: lm.HeadsT[j].Rows, out: lm.TauCount, w: demoteT(lm.HeadsT[j]), act: nn.Identity}
-			if tier == PrecisionInt8 {
-				h.q = tensor.QuantizeRows(h.w, nil)
-			}
-			p.heads = append(p.heads, h)
+			p.trunk = append(p.trunk, compileDense(&lm.Trunk[j]))
+			p.heads = append(p.heads, dense32{in: lm.HeadsT[j].Rows, out: lm.TauCount, w: demoteT(lm.HeadsT[j]), act: nn.Identity})
 		}
 	} else {
 		p.wx = dense32{in: lm.XpDim, out: lm.WXT.Cols, w: demoteT(lm.WXT), act: nn.Identity}
-		if tier == PrecisionInt8 {
-			p.wx.q = tensor.QuantizeRows(p.wx.w, nil)
-		}
 		p.perDist = tensor.Demote32(lm.PerDist)
 		for i := range lm.Rest {
-			p.rest = append(p.rest, compileDense(&lm.Rest[i], tier))
+			p.rest = append(p.rest, compileDense(&lm.Rest[i]))
 		}
 		p.decW = tensor.Demote32(lm.DecW)
 		p.decB = tensor.Demote32Vec(lm.DecB)
@@ -192,7 +164,6 @@ type scratch struct {
 	acc  *tensor.Matrix32 // accel pre-activation accumulator
 	za   *tensor.Matrix32 // standard-path big buffers (B·τcount rows)
 	zb   *tensor.Matrix32
-	q    *tensor.QuantMatrix // int8 activation quantization
 }
 
 // ensure32 returns *slot resized to rows×cols, reallocating only on growth.
@@ -206,20 +177,6 @@ func ensure32(slot **tensor.Matrix32, rows, cols int) *tensor.Matrix32 {
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:rows*cols]
-	return m
-}
-
-// ensureQ is ensure32 for the int8 activation buffer.
-func ensureQ(slot **tensor.QuantMatrix, rows, cols int) *tensor.QuantMatrix {
-	m := *slot
-	if m == nil || cap(m.Data) < rows*cols || cap(m.Scale) < rows {
-		m = &tensor.QuantMatrix{Rows: rows, Cols: cols, Data: make([]int8, rows*cols), Scale: make([]float32, rows)}
-		*slot = m
-		return m
-	}
-	m.Rows, m.Cols = rows, cols
-	m.Data = m.Data[:rows*cols]
-	m.Scale = m.Scale[:rows]
 	return m
 }
 
@@ -255,27 +212,13 @@ func act32(kind nn.ActKind, data []float32) {
 // dense runs one compiled layer: out = act(x·wᵀ + b), overwriting out (which
 // must be distinct from x) unless accumulate is set, in which case the
 // product is added into out and bias/activation are skipped (the fused-head
-// accumulation). On the int8 tier the activation batch is dynamically
-// quantized per row into s.q first.
-func (p *Plan) dense(d *dense32, x, out *tensor.Matrix32, s *scratch, accumulate bool) {
-	if d.q != nil {
-		q := ensureQ(&s.q, x.Rows, x.Cols)
-		tensor.QuantizeRows(x, q)
-		if accumulate {
-			tensor.MatMulABTQ8Add(q, d.q, out)
-		} else {
-			tensor.MatMulABTQ8(q, d.q, out)
-		}
-	} else {
-		if accumulate {
-			tensor.MatMulABTAdd32(x, d.w, out)
-		} else {
-			tensor.MatMulABT32(x, d.w, out)
-		}
-	}
+// accumulation).
+func (p *Plan) dense(d *dense32, x, out *tensor.Matrix32, accumulate bool) {
 	if accumulate {
+		tensor.MatMulABTAdd32(x, d.w, out)
 		return
 	}
+	tensor.MatMulABT32(x, d.w, out)
 	if d.b != nil {
 		tensor.AddBias32(out, d.b)
 	}
@@ -291,11 +234,10 @@ func (p *Plan) EstimateAllTaus(x []float64) []float64 {
 
 // EstimateAllTausBatch runs the compiled forward over a batch: xs is B×InDim
 // and the result is B×(TauMax+1) prefix-sum estimates — the same contract as
-// Model.EstimateAllTausBatch, evaluated through the fused weights at the
-// plan's precision tier. Per-distance outputs are clamped at zero before a
-// float64 prefix sum, so every returned row satisfies core.CurveMonotone by
-// construction (adding non-negative terms never decreases the sum). Safe for
-// concurrent callers.
+// Model.EstimateAllTausBatch, evaluated through the fused float32 weights.
+// Per-distance outputs are clamped at zero before a float64 prefix sum, so
+// every returned row satisfies core.CurveMonotone by construction (adding
+// non-negative terms never decreases the sum). Safe for concurrent callers.
 func (p *Plan) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 	if xs.Cols != p.inDim {
 		panic(fmt.Sprintf("infer: feature dim %d, plan expects %d", xs.Cols, p.inDim))
@@ -319,7 +261,7 @@ func (p *Plan) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 			if out == h {
 				out = ensure32(&s.b, b, d.out)
 			}
-			p.dense(d, h, out, s, false)
+			p.dense(d, h, out, false)
 			h = out
 			// Alternate a/b so the next layer never reads and writes the
 			// same buffer.
@@ -342,16 +284,16 @@ func (p *Plan) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 			if hn == h {
 				hn = ensure32(&s.b, b, d.out)
 			}
-			p.dense(d, h, hn, s, false)
+			p.dense(d, h, hn, false)
 			h = hn
 			s.a, s.b = s.b, s.a
-			p.dense(&p.heads[j], h, acc, s, j > 0)
+			p.dense(&p.heads[j], h, acc, j > 0)
 		}
 		tensor.AddBias32(acc, p.headBias)
 		p.prefixSums(acc, out)
 	} else {
 		u := ensure32(&s.a, b, p.wx.out)
-		p.dense(&p.wx, xp, u, s, false)
+		p.dense(&p.wx, xp, u, false)
 		h1 := p.wx.out
 		z := ensure32(&s.za, b*t, h1)
 		for e := 0; e < b; e++ {
@@ -371,7 +313,7 @@ func (p *Plan) EstimateAllTausBatch(xs *tensor.Matrix) *tensor.Matrix {
 		for i := range p.rest {
 			d := &p.rest[i]
 			zn := ensure32(&s.zb, b*t, d.out)
-			p.dense(d, z, zn, s, false)
+			p.dense(d, z, zn, false)
 			z = zn
 			s.za, s.zb = s.zb, s.za
 		}

@@ -136,6 +136,20 @@ func ImprovementRatio(replaced, full float64) float64 {
 	return (replaced - full) / replaced
 }
 
+// Quantile returns the nearest-rank q-quantile of an ascending-sorted
+// slice: the element at index ⌊q·n⌋, clamped to the last element (0 for an
+// empty slice).
+func Quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(sorted)))
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
+}
+
 func checkLens(actual, estimated []float64) {
 	if len(actual) != len(estimated) {
 		panic(fmt.Sprintf("metrics: length mismatch %d vs %d", len(actual), len(estimated)))

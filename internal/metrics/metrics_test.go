@@ -126,3 +126,17 @@ func TestMetricBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestQuantileNearestRank(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct{ q, want float64 }{
+		{0, 1}, {0.5, 6}, {0.9, 10}, {0.99, 10}, {1, 10},
+	} {
+		if got := Quantile(sorted, tc.q); got != tc.want {
+			t.Errorf("Quantile(q=%g) = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("Quantile(empty) = %g, want 0", got)
+	}
+}

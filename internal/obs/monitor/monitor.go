@@ -285,9 +285,9 @@ func (m *Monitor) Status() Status {
 	}
 	if len(win) > 0 {
 		sort.Float64s(win)
-		s.P50 = quantile(win, 0.50)
-		s.P90 = quantile(win, 0.90)
-		s.P99 = quantile(win, 0.99)
+		s.P50 = metrics.Quantile(win, 0.50)
+		s.P90 = metrics.Quantile(win, 0.90)
+		s.P99 = metrics.Quantile(win, 0.99)
 	}
 	s.MonoChecks = m.monoChecks.Value()
 	s.MonoViolations = m.monoViolations.Value()
@@ -296,16 +296,4 @@ func (m *Monitor) Status() Status {
 	m.gP50.Set(s.P50)
 	m.gP99.Set(s.P99)
 	return s
-}
-
-// quantile picks the nearest-rank quantile from a sorted slice.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

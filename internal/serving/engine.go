@@ -40,9 +40,9 @@ type Config struct {
 	// must be cheap: it runs on the batch worker's hot path.
 	CurveCheck func(curve []float64)
 	// Precision selects the inference tier: "f64" (default) is the exact
-	// legacy forward; "f32" and "int8" serve through a compiled fused plan —
-	// but only after the accuracy-delta gate passes. A failed gate falls back
-	// to f64 (see Engine.Precision for the verdict).
+	// forward; "f32" serves through the compiled fused plan — but only after
+	// the accuracy-delta gate passes. A failed gate falls back to f64 (see
+	// Engine.Precision for the verdict).
 	Precision infer.Precision
 	// GateMaxDelta bounds the q-error p99 inflation a compiled tier may show
 	// versus f64 before it is refused (0 = infer.DefaultGateMaxDelta).
@@ -109,7 +109,6 @@ type Engine struct {
 	cfg    Config
 	reg    *Registry
 	cache  *estimateCache
-	plan   atomic.Pointer[planState] // compiled precision plan (nil plan = f64)
 	shadow atomic.Pointer[ShadowTap] // optional dual-run tap (nil = off)
 
 	q      chan *request
@@ -130,8 +129,10 @@ type Engine struct {
 // alias response data that was already delivered.
 type ShadowTap func(xs, live *tensor.Matrix)
 
-// NewEngine starts cfg.Workers batch workers over the registry's model and
-// hooks cache invalidation to registry swaps.
+// NewEngine hands the configured precision tier and gate to the registry
+// (which recompiles the live model at them), starts cfg.Workers batch
+// workers over the registry's artifact, and hooks cache invalidation to
+// registry swaps. An engine owns its registry's compile settings.
 func NewEngine(reg *Registry, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
@@ -143,12 +144,11 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	if e.cache != nil {
 		reg.OnSwap(e.cache.Invalidate)
 	}
-	// Lower the initial model to the configured precision tier, and re-lower
-	// on every hot swap. Relowering runs inside Swap after the new model is
-	// installed; until it publishes, batches see a version mismatch and serve
-	// through the exact f64 path.
-	e.relower()
-	reg.OnSwap(e.relower)
+	reg.configure(cfg.Precision, infer.GateConfig{
+		MaxQErrP99Delta: cfg.GateMaxDelta,
+		Sweep:           cfg.GateSweep,
+		Seed:            cfg.GateSeed,
+	})
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -158,6 +158,11 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 
 // Registry exposes the engine's model registry (for the reload endpoint).
 func (e *Engine) Registry() *Registry { return e.reg }
+
+// Precision reports the gate verdict of the live artifact: which tier was
+// requested, which tier is actually serving, and the measured q-error
+// delta. Exposed through /healthz.
+func (e *Engine) Precision() infer.GateResult { return e.reg.Served().Gate }
 
 // SetShadowTap installs (or, with nil, removes) the batch shadow tap. Safe to
 // call concurrently with serving; the next batch sees the new tap.
@@ -338,10 +343,10 @@ func (e *Engine) collect(first *request) ([]*request, string) {
 }
 
 // run executes one batch: expired requests are failed individually, the
-// rest share a single stacked forward pass on the current model, and every
-// result is delivered and cached. The model pointer and cache generation are
-// snapshotted together so a concurrent swap can neither fail the batch nor
-// let its results poison the post-swap cache.
+// rest share a single stacked forward pass on the live artifact, and every
+// result is delivered and cached. The artifact is loaded once and the cache
+// generation before it, so a concurrent swap can neither fail the batch, nor
+// mix two artifacts in it, nor let its results poison the post-swap cache.
 //
 // For traced requests the batching interval is split per request at
 // batchStart: time from enqueue to batchStart is queue-wait (clamped into
@@ -354,9 +359,9 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 	mQueueDepth.Set(float64(len(e.q)))
 	var gen uint64
 	if e.cache != nil {
-		gen = e.cache.Gen() // before the model load: stale Puts must lose
+		gen = e.cache.Gen() // before the artifact load: stale Puts must lose
 	}
-	m, ver := e.reg.Current()
+	served := e.reg.Served()
 
 	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
@@ -392,19 +397,11 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 		r.tr.Annotate("flush", reason)
 	}
 
-	xs := tensor.NewMatrix(len(live), m.InDim)
+	xs := tensor.NewMatrix(len(live), served.Model.InDim)
 	for i, r := range live {
 		copy(xs.Row(i), r.x)
 	}
-	// The compiled precision plan serves only when it was lowered from the
-	// exact model version this batch snapshotted; during the swap→relower
-	// window the versions differ and the batch takes the exact f64 path.
-	var all *tensor.Matrix
-	if ps := e.plan.Load(); ps != nil && ps.plan != nil && ps.version == ver {
-		all = ps.plan.EstimateAllTausBatch(xs)
-	} else {
-		all = m.EstimateAllTausBatch(xs)
-	}
+	all := served.EstimateAllTausBatch(xs)
 	fwdEnd := time.Now()
 	for _, r := range live {
 		if r.tr != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cardnet/internal/core"
+	"cardnet/internal/infer"
 )
 
 // testModel returns a small untrained model; serving behaviour does not
@@ -252,11 +253,36 @@ func TestEngineClosedRejects(t *testing.T) {
 
 // Hot swap under fire: hammer the engine from many goroutines while the
 // registry swaps retrained (re-seeded) models; zero requests may fail, and
-// answers must always come from one of the installed models.
+// answers must always come from one of the installed models' served
+// artifacts. The f32 input runs with the cache off so every answer is a
+// fresh forward: it must bit-equal the f32 plan output of an installed model
+// (plan rows do not depend on batch composition), so an f64 answer served
+// while a swap is in flight fails the test.
 func TestSwapUnderLoadZeroFailures(t *testing.T) {
+	f32 := func(m *core.Model, x []float64, tau int) float64 {
+		p, _ := infer.Lower(m, infer.PrecisionF32) // fails only for tiers without a plan
+		return p.EstimateAllTaus(x)[tau]
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want func(m *core.Model, x []float64, tau int) float64
+	}{
+		{"f64", Config{Precision: infer.PrecisionF64}, (*core.Model).EstimateEncoded},
+		{"f32-nocache", Config{Precision: infer.PrecisionF32, CacheEntries: -1}, f32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.MaxBatch, cfg.MaxWait, cfg.QueueDepth = 8, 200*time.Microsecond, 4096
+			swapUnderLoad(t, cfg, tc.want)
+		})
+	}
+}
+
+func swapUnderLoad(t *testing.T, cfg Config, answer func(m *core.Model, x []float64, tau int) float64) {
 	models := []*core.Model{testModel(1), testModel(2), testModel(3)}
 	reg := NewRegistry(models[0])
-	e := NewEngine(reg, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 4096})
+	e := NewEngine(reg, cfg)
 	defer e.Close()
 
 	dim := models[0].InDim
@@ -267,10 +293,9 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 		xs[i] = binVec(int64(i), dim)
 		want[i] = map[float64]bool{}
 		for _, m := range models {
-			want[i][m.EstimateEncoded(xs[i], i%(models[0].Cfg.TauMax+1))] = true
+			want[i][answer(m, xs[i], i%(models[0].Cfg.TauMax+1))] = true
 		}
 	}
-
 	stop := make(chan struct{})
 	var failures, wrong, served atomic.Uint64
 	var wg sync.WaitGroup
@@ -306,6 +331,9 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		if _, err := reg.Swap(models[swap%len(models)]); err != nil {
 			t.Fatal(err)
+		}
+		if g := e.Precision(); g.Tier != cfg.Precision {
+			t.Fatalf("swap %d: gate refused the %s tier: %+v", swap, cfg.Precision, g)
 		}
 	}
 	close(stop)

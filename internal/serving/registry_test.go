@@ -78,3 +78,36 @@ func TestRegistryOnSwapFiresPerSuccessfulSwap(t *testing.T) {
 		t.Fatalf("OnSwap fired %d times, want 2", fired)
 	}
 }
+
+// TestRegistryPublishesPreparedArtifact checks the two halves of Swap: a
+// prepared artifact is installed as the exact pointer the caller holds, and
+// an artifact prepared against a version that is no longer live is refused.
+func TestRegistryPublishesPreparedArtifact(t *testing.T) {
+	reg := NewRegistry(testModel(1))
+	a, err := reg.Prepare(testModel(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := reg.Prepare(testModel(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Served().Version != 1 {
+		t.Fatal("Prepare must not install anything")
+	}
+	if err := reg.Publish(a); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Served() != a || a.Version != 2 {
+		t.Fatalf("live artifact %p (version %d), want the published %p", reg.Served(), reg.Served().Version, a)
+	}
+	if err := reg.Publish(b); err == nil {
+		t.Fatal("artifact prepared against version 1 published over version 2")
+	}
+	if err := reg.Publish(a); err == nil {
+		t.Fatal("artifact published twice")
+	}
+	if reg.Served() != a {
+		t.Fatal("refused publish changed the live artifact")
+	}
+}

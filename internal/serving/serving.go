@@ -17,15 +17,17 @@
 //   - Estimate cache: a sharded LRU keyed on (hash(x), τ), invalidated on
 //     model swap via a generation counter so results computed against a
 //     replaced model can never be served afterwards.
-//   - Model registry: a versioned atomic pointer to the live model. Swap
-//     validates shape compatibility (InDim, TauMax) and replaces the model
-//     without failing in-flight requests — batches already formed finish on
-//     the model they started with.
-//   - Precision tiers: Config.Precision selects f64 (exact legacy forward),
-//     f32, or int8. Compiled tiers run the fused internal/infer plan,
-//     re-lowered on every swap, and serve only after the accuracy-delta gate
-//     passes (q-error p99 delta within bound, zero Lemma-2 monotonicity
-//     violations); a failed gate falls back to f64.
+//   - Model registry: one atomic pointer to the live Served artifact — the
+//     model, its version, its compiled plan, and the gate verdict. Prepare
+//     validates shape compatibility (InDim, TauMax) and compiles a model
+//     once; Publish installs that artifact with a single store, and Swap is
+//     the two in one step. In-flight batches never fail: each loads the
+//     artifact once and finishes on it.
+//   - Precision tiers: Config.Precision selects f64 (exact forward) or f32.
+//     f32 runs the fused internal/infer plan, compiled into every published
+//     artifact, and serves only after the accuracy-delta gate passes
+//     (q-error p99 delta within bound, zero Lemma-2 monotonicity
+//     violations); a failed gate publishes the f64 path instead.
 //
 // Everything is instrumented on obs.Default under the "serving." prefix.
 package serving

@@ -13,7 +13,7 @@ const (
 )
 
 // reportGFLOPS attaches a GFLOP/s metric (2·M·N·K flops per op) so
-// `make bench-kernels` can print the f64/f32/int8 table straight from the
+// `make bench-kernels` can print the f64/f32 table straight from the
 // benchmark output.
 func reportGFLOPS(b *testing.B) {
 	flops := 2 * float64(benchM) * float64(benchN) * float64(benchK)
@@ -42,30 +42,6 @@ func BenchmarkKernelABT_f32(b *testing.B) {
 		MatMulABT32(a, w, out)
 	}
 	reportGFLOPS(b)
-}
-
-func BenchmarkKernelABT_int8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := QuantizeRows(Demote32(randMatrix(rng, benchM, benchK)), nil)
-	w := QuantizeRows(Demote32(randMatrix(rng, benchN, benchK)), nil)
-	out := NewMatrix32(benchM, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABTQ8(a, w, out)
-	}
-	reportGFLOPS(b)
-}
-
-// BenchmarkKernelInt8Quantize isolates the dynamic activation-quantization
-// cost the int8 tier pays per layer on top of the matmul itself.
-func BenchmarkKernelInt8Quantize(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := Demote32(randMatrix(rng, benchM, benchK))
-	q := NewQuantMatrix(benchM, benchK)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		QuantizeRows(a, q)
-	}
 }
 
 // zeroSkipOperands builds a MatMul left operand with the given fraction of

@@ -64,72 +64,6 @@ func TestMatMulABTAdd32Accumulates(t *testing.T) {
 	}
 }
 
-func TestQuantizeRowsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	src := Demote32(randMatrix(rng, 11, 37))
-	// An all-zero row must quantize to scale 0 without dividing by zero.
-	zr := src.Row(4)
-	for j := range zr {
-		zr[j] = 0
-	}
-	q := QuantizeRows(src, nil)
-	if q.Scale[4] != 0 {
-		t.Fatalf("zero row scale = %g, want 0", q.Scale[4])
-	}
-	for i := 0; i < src.Rows; i++ {
-		scale := float64(q.Scale[i])
-		for j, v := range src.Row(i) {
-			deq := float64(q.Row(i)[j]) * scale
-			// Round-to-nearest symmetric quantization: error ≤ scale/2.
-			if math.Abs(deq-float64(v)) > scale/2+1e-7 {
-				t.Fatalf("row %d col %d: dequant %g vs %g (scale %g)", i, j, deq, v, scale)
-			}
-		}
-	}
-}
-
-func TestMatMulABTQ8ApproximatesF32(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, s := range kernelShapes {
-		a32 := Demote32(randMatrix(rng, s.r, s.k))
-		b32 := Demote32(randMatrix(rng, s.c, s.k))
-		want := MatMulABT32(a32, b32, nil)
-		got := MatMulABTQ8(QuantizeRows(a32, nil), QuantizeRows(b32, nil), nil)
-		for i := 0; i < s.r; i++ {
-			for j := 0; j < s.c; j++ {
-				w := float64(want.At(i, j))
-				g := float64(got.At(i, j))
-				// Each int8 factor carries ≤ scale/2 rounding error; the k-term
-				// dot product error is bounded by k·(sa·|b|max + sb·|a|max)/2
-				// plus the cross term. A loose per-shape bound suffices here;
-				// the model-level accuracy gate is the real acceptance test.
-				bound := float64(s.k) * 0.05
-				if math.Abs(g-w) > bound {
-					t.Fatalf("shape %v (%d,%d): q8 %g vs f32 %g", s, i, j, g, w)
-				}
-			}
-		}
-	}
-}
-
-func TestMatMulABTQ8AddAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := QuantizeRows(Demote32(randMatrix(rng, 10, 16)), nil)
-	b := QuantizeRows(Demote32(randMatrix(rng, 5, 16)), nil)
-	base := MatMulABTQ8(a, b, nil)
-	acc := NewMatrix32(10, 5)
-	for i := range acc.Data {
-		acc.Data[i] = 2
-	}
-	MatMulABTQ8Add(a, b, acc)
-	for i := range acc.Data {
-		want := 2 + base.Data[i]
-		if acc.Data[i] != want {
-			t.Fatalf("elem %d = %g, want %g", i, acc.Data[i], want)
-		}
-	}
-}
-
 func TestMatMulDenseMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, s := range kernelShapes {
