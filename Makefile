@@ -45,7 +45,7 @@ test:
 # Stress the serving engine's concurrency surface under the race detector
 # beyond the plain `test` pass: repeated runs shuffle goroutine schedules.
 race-serving:
-	$(GO) test -race -count=3 ./internal/serving ./internal/core -run 'Concurrent|Swap|Saturation|Batcher|Cache'
+	$(GO) test -race -count=3 ./internal/serving ./internal/core -run 'Concurrent|Swap|Saturation|Batcher|Flush|Cache'
 
 # Shake the observability layer under the race detector: sink/registry
 # concurrency, trace sampling, the rolling drift monitor, the SLO tracker's

@@ -98,7 +98,7 @@ func runAutopilotBench(testX *tensor.Matrix, tauMax, calls int, accel bool, seed
 	m := core.New(cfg, testX.Cols)
 
 	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
-		MaxBatch: 8, MaxWait: 100 * time.Microsecond, CacheEntries: -1,
+		MaxBatch: 8, CacheEntries: -1,
 	})
 	defer eng.Close()
 	mon := monitor.New(monitor.Config{Window: 64, BaselineN: 4, EWMAAlpha: 0.5}, obs.NewRegistry())

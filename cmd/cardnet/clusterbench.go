@@ -107,7 +107,6 @@ func benchClient() *http.Client {
 func runAdmissionBench(m *core.Model, testX *tensor.Matrix) (*admissionBench, error) {
 	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
 		MaxBatch:     1,
-		MaxWait:      0,
 		QueueDepth:   2,
 		Workers:      1,
 		CacheEntries: -1,
@@ -209,7 +208,6 @@ func newBenchFleet(m *core.Model, n, cacheEntries int, probe time.Duration, ejec
 	for i := 0; i < n; i++ {
 		eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
 			MaxBatch:     32,
-			MaxWait:      200 * time.Microsecond,
 			QueueDepth:   4096,
 			CacheEntries: cacheEntries,
 		})

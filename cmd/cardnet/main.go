@@ -26,9 +26,10 @@
 // published atomically (temp file + fsync + rename with a CRC-checked
 // header), so the serve loader never sees a torn file. Serve runs the
 // internal/serving batched engine (micro-batching, admission control,
-// estimate cache, hot model swap — tune with -maxbatch/-maxwait/-queue/
-// -workers/-cache) and exposes POST/GET /estimate, POST /admin/reload,
-// /metrics (obs registry snapshot), /healthz, and /debug/pprof/*; it shuts
+// estimate cache, hot model swap — tune with -maxbatch/-queue/-workers/
+// -cache; a batch takes what is queued and never waits to fill) and
+// exposes POST/GET /estimate, POST /admin/reload, /metrics (obs registry
+// snapshot), /healthz, and /debug/pprof/*; it shuts
 // down gracefully on SIGINT/SIGTERM. Router fronts N serve replicas with
 // cache-affine consistent-hash routing on (hash(x), τ), health probing with
 // ejection, bounded failover on 503/connect errors, graceful drain, and
@@ -100,7 +101,6 @@ func main() {
 	benchOut := flag.String("benchout", "results/BENCH_obs.json", "obsbench/servebench: output JSON path")
 	benchCalls := flag.Int("calls", 2000, "obsbench/servebench: measured estimate calls per configuration")
 	maxBatch := flag.Int("maxbatch", 32, "serve: max requests coalesced into one forward pass")
-	maxWait := flag.Duration("maxwait", time.Millisecond, "serve: batch flush deadline")
 	queueDepth := flag.Int("queue", 256, "serve: admission queue depth (full queue -> 503)")
 	workers := flag.Int("workers", 0, "train/update: data-parallel training shards (0 = all CPUs); serve: batch workers (0 = half the CPUs)")
 	benchEpochs := flag.Int("benchepochs", 8, "trainbench: training epochs per worker configuration")
@@ -171,7 +171,6 @@ func main() {
 	}
 	serveCfg := serving.Config{
 		MaxBatch:     *maxBatch,
-		MaxWait:      *maxWait,
 		QueueDepth:   *queueDepth,
 		Workers:      *workers,
 		CacheEntries: *cacheEntries,

@@ -23,7 +23,7 @@ import (
 // X-Trace-Id so clients can correlate slow calls with the trace log.
 func TestEstimateResponsesCarryTraceID(t *testing.T) {
 	m := tinyModel(3)
-	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4})
 
 	xCSV := strings.Join(binXStrings(m), ",")
 	seen := map[string]bool{}
@@ -67,7 +67,7 @@ func stageSums(t *testing.T) (map[string]float64, float64, uint64) {
 // stages being added without a histogram (or observed twice).
 func TestStageHistogramsSumToEndToEnd(t *testing.T) {
 	m := tinyModel(3)
-	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4, MaxWait: 200 * time.Microsecond})
+	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4})
 
 	before, e2eBefore, nBefore := stageSums(t)
 	const reqs = 40
@@ -111,7 +111,7 @@ func TestStageHistogramsSumToEndToEnd(t *testing.T) {
 // and non-GET methods are rejected.
 func TestMetricsContentNegotiation(t *testing.T) {
 	m := tinyModel(3)
-	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 2})
 
 	// Serve one request so the serving metrics are non-trivial.
 	resp, err := http.Get(ts.URL + "/estimate?x=" + strings.Join(binXStrings(m), ",") + "&tau=1")
@@ -181,7 +181,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 func TestFeedbackDriftTransition(t *testing.T) {
 	m := tinyModel(3)
 	mon := monitor.New(monitor.Config{BaselineN: 8, EWMAAlpha: 0.5}, obs.Default)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{mon: mon}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 
@@ -379,7 +379,7 @@ func TestTraceSamplingWritesJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2})
 	sampler := obs.NewTraceSampler(1, sink)
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{sampler: sampler}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
@@ -446,7 +446,7 @@ func TestAuditSamplingFeedsMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := monitor.New(monitor.Config{}, obs.Default)
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 2})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{mon: mon, oracle: oracle, auditRate: 1}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 

@@ -32,7 +32,7 @@ func newRouterFleet(t *testing.T, m *core.Model, n int) *routerFleet {
 	f := &routerFleet{}
 	bases := make([]string, n)
 	for i := 0; i < n; i++ {
-		ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+		ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4})
 		f.replicas = append(f.replicas, ts)
 		bases[i] = ts.URL
 	}
@@ -118,8 +118,8 @@ func TestRouterE2EEstimate(t *testing.T) {
 	// Two replicas with *different* models: a query's estimate identifies
 	// which replica served it.
 	mA, mB := tinyModel(3), tinyModel(17)
-	tsA, _ := newTestServer(t, mA, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
-	tsB, _ := newTestServer(t, mB, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	tsA, _ := newTestServer(t, mA, serving.Config{MaxBatch: 4})
+	tsB, _ := newTestServer(t, mB, serving.Config{MaxBatch: 4})
 	rt, err := cluster.New(cluster.Config{Replicas: []string{tsA.URL, tsB.URL}})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func binXStrings(m *core.Model) []string {
 
 func TestServeEstimateAndMetrics(t *testing.T) {
 	m := tinyModel(3)
-	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	ts, _ := newTestServer(t, m, serving.Config{MaxBatch: 4})
 
 	x := binXStrings(m)
 	xJSON := "[" + strings.Join(x, ",") + "]"
@@ -231,7 +231,7 @@ func TestServeUnavailableAfterEngineClose(t *testing.T) {
 // model (cache invalidated).
 func TestServeAdminReload(t *testing.T) {
 	m1, m2 := tinyModel(3), tinyModel(17)
-	ts, eng := newTestServer(t, m1, serving.Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 4096})
+	ts, eng := newTestServer(t, m1, serving.Config{MaxBatch: 8, QueueDepth: 4096})
 
 	dir := t.TempDir()
 	goodPath := dir + "/m2.gob"

@@ -277,7 +277,6 @@ func benchTracing(m *core.Model, testX *tensor.Matrix, calls int, tauOf func(int
 	}
 	cfg := serving.Config{
 		MaxBatch:     32,
-		MaxWait:      200 * time.Microsecond,
 		QueueDepth:   4096,
 		CacheEntries: -1,
 	}
@@ -401,7 +400,7 @@ func benchTracing(m *core.Model, testX *tensor.Matrix, calls int, tauOf func(int
 func flushCounts() map[string]uint64 {
 	return map[string]uint64{
 		serving.FlushSize:     obs.Default.Counter("serving.batch.flush_size").Value(),
-		serving.FlushDeadline: obs.Default.Counter("serving.batch.flush_deadline").Value(),
+		serving.FlushIdle:     obs.Default.Counter("serving.batch.flush_idle").Value(),
 		serving.FlushShutdown: obs.Default.Counter("serving.batch.flush_shutdown").Value(),
 	}
 }
@@ -452,7 +451,6 @@ func benchEngine(m *core.Model, testX *tensor.Matrix, calls int, tauOf func(int)
 		reg := serving.NewRegistry(m)
 		eng := serving.NewEngine(reg, serving.Config{
 			MaxBatch:     32,
-			MaxWait:      200 * time.Microsecond,
 			QueueDepth:   4096,
 			CacheEntries: cacheEntries,
 		})

@@ -45,8 +45,8 @@ func TestRouterE2ETraceAssembly(t *testing.T) {
 	samplerB, sinkB, pathB := traceSink(t, dir, "replica-b.trace.jsonl")
 	samplerR, sinkR, pathR := traceSink(t, dir, "router.trace.jsonl")
 
-	engA := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
-	engB := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	engA := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 4})
+	engB := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 4})
 	tsA := httptest.NewServer(newServeMux(engA, serveOptions{sampler: samplerA}))
 	t.Cleanup(func() { tsA.Close(); engA.Close() })
 
@@ -282,7 +282,7 @@ func TestTraceSamplingDecisionPropagates(t *testing.T) {
 	}
 	samplerRt := obs.NewTraceSampler(0.5, rtSink) // every 2nd request
 
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{MaxBatch: 4})
 	ts := httptest.NewServer(newServeMux(eng, serveOptions{sampler: samplerRep}))
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 

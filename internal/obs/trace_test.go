@@ -87,7 +87,7 @@ func TestTraceFieldsAndSampler(t *testing.T) {
 		tr := NewTrace()
 		tr.Mark("forward")
 		tr.Annotate("batch_size", 4)
-		tr.Annotate("flush", "deadline")
+		tr.Annotate("flush", "idle")
 		if s.Sample() {
 			if err := s.Emit(tr); err != nil {
 				t.Fatal(err)
@@ -121,7 +121,7 @@ func TestTraceFieldsAndSampler(t *testing.T) {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
 		if rec.Event != "trace" || len(rec.TraceID) != 16 || len(rec.Stages) != 1 ||
-			rec.Stages[0].Name != "forward" || rec.Batch != 4 || rec.Flush != "deadline" {
+			rec.Stages[0].Name != "forward" || rec.Batch != 4 || rec.Flush != "idle" {
 			t.Fatalf("trace event: %+v", rec)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strconv"
 	"testing"
-	"time"
 
 	"cardnet/internal/core"
 	"cardnet/internal/tensor"
@@ -63,7 +62,6 @@ func BenchmarkEngineEstimate(b *testing.B) {
 			m := benchModel()
 			e := NewEngine(NewRegistry(m), Config{
 				MaxBatch:     32,
-				MaxWait:      200 * time.Microsecond,
 				QueueDepth:   4096,
 				CacheEntries: tc.entries,
 			})

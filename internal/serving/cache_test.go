@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"testing"
-	"time"
 
 	"cardnet/internal/obs"
 )
@@ -85,7 +84,7 @@ func TestHashXDistinguishesVectors(t *testing.T) {
 func TestEngineCacheHitAndInvalidateOnSwap(t *testing.T) {
 	m1, m2 := testModel(10), testModel(20)
 	reg := NewRegistry(m1)
-	e := NewEngine(reg, Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: 128})
+	e := NewEngine(reg, Config{MaxBatch: 4, CacheEntries: 128})
 	defer e.Close()
 
 	x := binVec(5, m1.InDim)

@@ -16,11 +16,9 @@ import (
 // Config tunes the engine. Zero values take the documented defaults.
 type Config struct {
 	// MaxBatch is the most requests coalesced into one forward pass
-	// (default 32). 1 disables batching.
+	// (default 32). 1 disables batching. A batch never waits to fill: it
+	// takes what is already queued and flushes once the queue is empty.
 	MaxBatch int
-	// MaxWait bounds how long a formed batch waits for more requests before
-	// flushing (default 1ms).
-	MaxWait time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrOverloaded (default 256).
 	QueueDepth int
@@ -57,9 +55,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -99,7 +94,6 @@ type request struct {
 type result struct {
 	val float64
 	all []float64
-	err error
 }
 
 // Engine is the batched inference front-end over a model Registry. Create
@@ -263,9 +257,9 @@ func (e *Engine) dispatch(ctx context.Context, r *request) (result, error) {
 	}
 	select {
 	case res := <-r.done:
-		return res, res.err
+		return res, nil
 	case <-done:
-		mExpired.Inc()
+		mExpired.Inc() // the only count: run drops expired requests silently
 		return result{}, ctx.Err()
 	}
 }
@@ -312,19 +306,14 @@ func (e *Engine) worker() {
 	}
 }
 
-// collect forms a batch starting from first: it keeps pulling queued
-// requests until the batch is full (size flush) or MaxWait has passed since
-// the batch started forming (deadline flush, which bounds the latency a
-// lone request pays for batching). The returned reason names which condition
+// collect forms a batch starting from first without ever waiting: it takes
+// the requests already queued until the batch is full (size flush) or the
+// queue is empty (idle flush). A lone request pays no batching delay, and
+// batches grow only from requests that arrived while the workers were busy,
+// which is when coalescing pays. The returned reason names which condition
 // flushed the batch; every flush is counted under its reason.
 func (e *Engine) collect(first *request) ([]*request, string) {
 	batch := []*request{first}
-	if e.cfg.MaxBatch <= 1 {
-		mFlushSize.Inc()
-		return batch, FlushSize
-	}
-	timer := time.NewTimer(e.cfg.MaxWait)
-	defer timer.Stop()
 	for len(batch) < e.cfg.MaxBatch {
 		select {
 		case r, ok := <-e.q:
@@ -333,20 +322,21 @@ func (e *Engine) collect(first *request) ([]*request, string) {
 				return batch, FlushShutdown
 			}
 			batch = append(batch, r)
-		case <-timer.C:
-			mFlushDeadline.Inc()
-			return batch, FlushDeadline
+		default:
+			mFlushIdle.Inc()
+			return batch, FlushIdle
 		}
 	}
 	mFlushSize.Inc()
 	return batch, FlushSize
 }
 
-// run executes one batch: expired requests are failed individually, the
-// rest share a single stacked forward pass on the live artifact, and every
-// result is delivered and cached. The artifact is loaded once and the cache
-// generation before it, so a concurrent swap can neither fail the batch, nor
-// mix two artifacts in it, nor let its results poison the post-swap cache.
+// run executes one batch: expired requests are dropped (their callers see
+// the same expired context and return its error), the rest share a single
+// stacked forward pass on the live artifact, and every result is delivered
+// and cached. The artifact is loaded once and the cache generation before
+// it, so a concurrent swap can neither fail the batch, nor mix two
+// artifacts in it, nor let its results poison the post-swap cache.
 //
 // For traced requests the batching interval is split per request at
 // batchStart: time from enqueue to batchStart is queue-wait (clamped into
@@ -365,16 +355,9 @@ func (e *Engine) run(batch []*request, batchStart time.Time, reason string) {
 
 	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
-		if r.ctx != nil {
-			select {
-			case <-r.ctx.Done():
-				mExpired.Inc()
-				r.done <- result{err: r.ctx.Err()}
-				continue
-			default:
-			}
+		if r.ctx == nil || r.ctx.Err() == nil {
+			live = append(live, r)
 		}
-		live = append(live, r)
 	}
 	if len(live) == 0 {
 		return

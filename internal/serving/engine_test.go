@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"cardnet/internal/core"
 	"cardnet/internal/infer"
+	"cardnet/internal/obs"
 )
 
 // testModel returns a small untrained model; serving behaviour does not
@@ -36,29 +38,50 @@ func binVec(seed int64, dim int) []float64 {
 	return x
 }
 
+// The engine answers exactly what the model computes at every precision
+// tier, and its answers are monotone in θ (Lemma 2). With the cache off,
+// single-τ estimates for τ = 0..τmax of several x come from concurrent
+// goroutines, so they land in batches of differing composition; each must
+// bit-equal the direct curve for x, as must EstimateAll, and the curve must
+// be non-decreasing in τ.
 func TestEngineMatchesDirectModel(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
-	defer e.Close()
-
-	for i := 0; i < 10; i++ {
-		x := binVec(int64(i), m.InDim)
-		tau := i % (m.Cfg.TauMax + 1)
-		got, err := e.Estimate(context.Background(), x, tau)
-		if err != nil {
-			t.Fatal(err)
+	plan, _ := infer.Lower(m, infer.PrecisionF32) // fails only for tiers without a plan
+	for tier, direct := range map[infer.Precision]func([]float64) []float64{
+		infer.PrecisionF64: m.EstimateAllTaus, infer.PrecisionF32: plan.EstimateAllTaus,
+	} {
+		e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, Precision: tier, CacheEntries: -1})
+		defer e.Close()
+		const nx = 6
+		taus := m.Cfg.TauMax + 1
+		got := make([]float64, nx*taus) // got[i*taus+τ] answers x_i at τ
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v, err := e.Estimate(context.Background(), binVec(int64(i/taus), m.InDim), i%taus)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = v
+			}(i)
 		}
-		if want := m.EstimateEncoded(x, tau); got != want {
-			t.Fatalf("query %d: engine %v != model %v", i, got, want)
-		}
-		all, err := e.EstimateAll(context.Background(), x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.EstimateAllTaus(x)
-		for j := range want {
-			if all[j] != want[j] {
-				t.Fatalf("query %d τ=%d: engine %v != model %v", i, j, all[j], want[j])
+		wg.Wait()
+		for i := 0; i < nx; i++ {
+			x := binVec(int64(i), m.InDim)
+			all, err := e.EstimateAll(context.Background(), x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := direct(x)
+			for tau := range want {
+				if v := got[i*taus+tau]; v != want[tau] || all[tau] != want[tau] {
+					t.Fatalf("%s x%d τ=%d: Estimate %v, EstimateAll %v, direct %v", tier, i, tau, v, all[tau], want[tau])
+				}
+				if tau > 0 && want[tau] < want[tau-1] {
+					t.Fatalf("%s x%d: estimate falls from %v at τ=%d to %v", tier, i, want[tau-1], tau-1, want[tau])
+				}
 			}
 		}
 	}
@@ -83,93 +106,130 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	}
 }
 
-// Size-triggered flush: with a far-away deadline, a full batch must flush on
-// its own — if the size trigger were broken, these requests would sit for
-// the whole MaxWait and the test would time out.
-func TestBatcherFlushesOnSize(t *testing.T) {
-	m := testModel(1)
-	const batch = 4
-	e := NewEngine(NewRegistry(m), Config{
-		MaxBatch: batch, MaxWait: time.Hour, Workers: 1, CacheEntries: -1,
-	})
-	defer e.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, batch)
-	for i := 0; i < batch; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 1)
-			errs <- err
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("size flush never fired: batch stuck behind the 1h deadline")
-	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+// parkedEngine returns a one-worker, cache-off engine whose only worker is
+// parked inside a batch: its first fresh curve blocks in CurveCheck until
+// release is called. While the worker is held, a test can queue requests
+// deterministically. The parking request's batch, counters included, is
+// complete on return. release is idempotent; test cleanup releases the
+// worker and closes the engine.
+func parkedEngine(t *testing.T, m *core.Model, maxBatch int) (e *Engine, release func()) {
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	e = NewEngine(NewRegistry(m), Config{MaxBatch: maxBatch, Workers: 1, CacheEntries: -1,
+		CurveCheck: func([]float64) { parkOnce.Do(func() { close(parked) }); <-gate }})
+	wait := estimateAsync(t, e, m.InDim, 1)
+	<-parked
+	release = func() { releaseOnce.Do(func() { close(gate); wait() }) }
+	t.Cleanup(e.Close)
+	t.Cleanup(release)
+	return e, release
 }
 
-// Deadline-triggered flush: a lone request in a large-batch engine must
-// complete in roughly MaxWait, not wait for peers that never come.
-func TestBatcherFlushesOnDeadline(t *testing.T) {
-	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{
-		MaxBatch: 1024, MaxWait: 5 * time.Millisecond, Workers: 1, CacheEntries: -1,
-	})
-	defer e.Close()
-
-	start := time.Now()
-	if _, err := e.Estimate(context.Background(), binVec(1, m.InDim), 2); err != nil {
-		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("lone request took %v", waited)
-	}
-}
-
-// Concurrent traffic through one worker must coalesce into multi-request
-// batches (the whole point of the subsystem).
-func TestBatcherCoalesces(t *testing.T) {
-	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{
-		MaxBatch: 8, MaxWait: time.Second, Workers: 1, CacheEntries: -1,
-	})
-	defer e.Close()
-
-	callsBefore, rowsBefore := coreBatchCounters()
-	const n = 8
+// estimateAsync issues n single-τ estimates from their own goroutines and
+// returns a function that waits for them all.
+func estimateAsync(t *testing.T, e *Engine, dim, n int) (wait func()) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), i%3); err != nil {
+			if _, err := e.Estimate(context.Background(), binVec(int64(i), dim), i%3); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
-	wg.Wait()
-	calls, rows := coreBatchCounters()
-	if gotRows := rows - rowsBefore; gotRows != n {
-		t.Fatalf("batched rows: %d, want %d", gotRows, n)
+	return wg.Wait
+}
+
+// batchCounts are the forward-pass and flush-reason counters.
+type batchCounts struct{ calls, rows, size, idle, shutdown uint64 }
+
+func readBatchCounts() batchCounts {
+	c := testObsCounter
+	return batchCounts{c("core.estimate_batch.calls"), c("core.estimate_batch.rows"),
+		c("serving.batch.flush_size"), c("serving.batch.flush_idle"), c("serving.batch.flush_shutdown")}
+}
+
+func (a batchCounts) minus(b batchCounts) batchCounts {
+	return batchCounts{a.calls - b.calls, a.rows - b.rows, a.size - b.size, a.idle - b.idle, a.shutdown - b.shutdown}
+}
+
+// checkParkedBacklog queues n requests behind a parked worker, optionally
+// starts Close, then releases the worker and checks how the counters moved
+// while the backlog drained.
+func checkParkedBacklog(t *testing.T, maxBatch, n int, closeFirst bool, want batchCounts) {
+	t.Helper()
+	m := testModel(1)
+	e, release := parkedEngine(t, m, maxBatch)
+	wait := estimateAsync(t, e, m.InDim, n)
+	for len(e.q) < n {
+		time.Sleep(50 * time.Microsecond)
 	}
-	if gotCalls := calls - callsBefore; gotCalls >= n {
-		t.Fatalf("no coalescing: %d forward passes for %d requests", gotCalls, n)
+	before := readBatchCounts()
+	if closeFirst {
+		go e.Close()
+		for closed := false; !closed; runtime.Gosched() {
+			e.mu.RLock()
+			closed = e.closed
+			e.mu.RUnlock()
+		}
+	}
+	release()
+	wait()
+	e.Close()
+	if got := readBatchCounts().minus(before); got != want {
+		t.Fatalf("%d queued requests, MaxBatch %d: counters moved by %+v, want %+v", n, maxBatch, got, want)
 	}
 }
 
-func coreBatchCounters() (calls, rows uint64) {
-	return testObsCounter("core.estimate_batch.calls"), testObsCounter("core.estimate_batch.rows")
+// A lone request flushes at once as a one-row idle batch: the batcher never
+// waits for peers that are not already queued.
+func TestBatcherFlushesOnIdle(t *testing.T) {
+	m := testModel(1)
+	e := NewEngine(NewRegistry(m), Config{MaxBatch: 1024, Workers: 1, CacheEntries: -1})
+	defer e.Close()
+	before, tr := readBatchCounts(), obs.NewTrace()
+	if _, err := e.EstimateTraced(context.Background(), binVec(1, m.InDim), 2, tr); err != nil {
+		t.Fatal(err)
+	}
+	if f := tr.Fields(); f["flush"] != FlushIdle || f["batch_size"] != 1 {
+		t.Fatalf("lone request: flush=%v batch_size=%v, want %q and 1", f["flush"], f["batch_size"], FlushIdle)
+	}
+	if got, want := readBatchCounts().minus(before), (batchCounts{calls: 1, rows: 1, idle: 1}); got != want {
+		t.Fatalf("counters moved by %+v, want %+v", got, want)
+	}
+}
+
+// Up to MaxBatch requests queued during a forward pass coalesce into exactly
+// one forward pass over all of them: an idle flush when fewer than MaxBatch
+// wait, a size flush at exactly MaxBatch.
+func TestBatcherCoalesces(t *testing.T) {
+	checkParkedBacklog(t, 8, 3, false, batchCounts{calls: 1, rows: 3, idle: 1})
+	checkParkedBacklog(t, 8, 8, false, batchCounts{calls: 1, rows: 8, size: 1})
+}
+
+// A backlog larger than MaxBatch splits into full size-flushed batches, and
+// the remainder leaves as an idle flush once the queue is empty.
+func TestBatcherFlushesOnSize(t *testing.T) {
+	checkParkedBacklog(t, 4, 9, false, batchCounts{calls: 3, rows: 9, size: 2, idle: 1})
+}
+
+// A caller whose context expires while its request is queued is counted as
+// expired exactly once, although both the caller and the worker see it.
+func TestBatcherCountsExpiredOnce(t *testing.T) {
+	m := testModel(1)
+	e, release := parkedEngine(t, m, 8)
+	before := testObsCounter("serving.expired")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := e.Estimate(ctx, binVec(1, m.InDim), 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
+	}
+	release()
+	e.Close() // the worker has now taken and dropped the expired request
+	if got := testObsCounter("serving.expired") - before; got != 1 {
+		t.Fatalf("serving.expired moved by %d, want 1", got)
+	}
 }
 
 // Admission control: a full queue rejects instead of blocking. Built without
@@ -194,7 +254,7 @@ func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 func TestEngineSaturationDegradesGracefully(t *testing.T) {
 	m := testModel(1)
 	e := NewEngine(NewRegistry(m), Config{
-		MaxBatch: 2, MaxWait: 100 * time.Microsecond, QueueDepth: 2, Workers: 1, CacheEntries: -1,
+		MaxBatch: 2, QueueDepth: 2, Workers: 1, CacheEntries: -1,
 	})
 	defer e.Close()
 
@@ -273,7 +333,7 @@ func TestSwapUnderLoadZeroFailures(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.MaxBatch, cfg.MaxWait, cfg.QueueDepth = 8, 200*time.Microsecond, 4096
+			cfg.MaxBatch, cfg.QueueDepth = 8, 4096
 			swapUnderLoad(t, cfg, tc.want)
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"cardnet/internal/infer"
 )
@@ -16,7 +15,6 @@ func TestEnginePrecisionF32(t *testing.T) {
 	m := testModel(1)
 	e := NewEngine(NewRegistry(m), Config{
 		MaxBatch:     4,
-		MaxWait:      time.Millisecond,
 		Precision:    infer.PrecisionF32,
 		CacheEntries: -1,
 	})
@@ -54,7 +52,6 @@ func TestEngineGateFallback(t *testing.T) {
 	m := testModel(3)
 	e := NewEngine(NewRegistry(m), Config{
 		MaxBatch:     4,
-		MaxWait:      time.Millisecond,
 		Precision:    infer.PrecisionF32,
 		GateMaxDelta: 1e-12,
 		CacheEntries: -1,
@@ -94,7 +91,6 @@ func TestEngineSwapServesNewPlan(t *testing.T) {
 	reg := NewRegistry(m1)
 	e := NewEngine(reg, Config{
 		MaxBatch:  4,
-		MaxWait:   time.Millisecond,
 		Precision: infer.PrecisionF32,
 	})
 	defer e.Close()

@@ -8,8 +8,10 @@
 //
 //   - Micro-batching: concurrent estimate requests are queued and coalesced
 //     into a single B×d forward pass through the shared Φ/Φ′ networks
-//     (core.EstimateAllTausBatch), flushed when the batch reaches
-//     Config.MaxBatch or the oldest request has waited Config.MaxWait.
+//     (core.EstimateAllTausBatch). The batcher is work-conserving: a worker
+//     takes what is already queued, up to Config.MaxBatch, and flushes the
+//     moment the queue is empty, so a lone request never waits for peers
+//     and batches form from requests that arrive during a forward pass.
 //     Batched results are bit-identical to the per-sample paths.
 //   - Admission control: a bounded queue with per-request context deadlines.
 //     When the queue is full, Estimate fails fast with ErrOverloaded (the
@@ -58,7 +60,7 @@ const (
 	StageAdmission = "admission"  // parse + validate, before entering the engine
 	StageCache     = "cache"      // estimate-cache lookup
 	StageQueueWait = "queue.wait" // enqueue until a worker starts forming the batch
-	StageBatchForm = "batch.form" // batch formation until flush (size/deadline/shutdown)
+	StageBatchForm = "batch.form" // batch formation until flush (size/idle/shutdown)
 	StageForward   = "forward"    // shared stacked forward pass
 	StageWrite     = "write"      // result delivery + HTTP response encoding
 )
@@ -74,8 +76,8 @@ const E2EHistogram = "serving.e2e.seconds"
 // Batch flush reasons, annotated on traces and counted under
 // "serving.batch.flush_<reason>".
 const (
-	FlushSize     = "size"     // batch reached Config.MaxBatch
-	FlushDeadline = "deadline" // oldest request waited Config.MaxWait
+	FlushSize     = "size"     // batch reached Config.MaxBatch; more may still be queued
+	FlushIdle     = "idle"     // the queue was empty
 	FlushShutdown = "shutdown" // Close drained the queue mid-batch
 )
 
@@ -88,7 +90,7 @@ var (
 	mExpired       = obs.Default.Counter("serving.expired")
 	mBatchSize     = obs.Default.Histogram("serving.batch.size", obs.LinearBuckets(1, 1, 64))
 	mFlushSize     = obs.Default.Counter("serving.batch.flush_size")
-	mFlushDeadline = obs.Default.Counter("serving.batch.flush_deadline")
+	mFlushIdle     = obs.Default.Counter("serving.batch.flush_idle")
 	mFlushShutdown = obs.Default.Counter("serving.batch.flush_shutdown")
 	mCacheHits     = obs.Default.Counter("serving.cache.hits")
 	mCacheMisses   = obs.Default.Counter("serving.cache.misses")

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"cardnet/internal/obs"
 )
@@ -14,7 +13,7 @@ import (
 // trace's total exactly, and carry the batch annotations.
 func TestEstimateTracedStages(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4})
 	defer e.Close()
 
 	tr := obs.NewTrace()
@@ -50,7 +49,7 @@ func TestEstimateTracedStages(t *testing.T) {
 		t.Fatalf("batch_size = %v", f["batch_size"])
 	}
 	switch f["flush"] {
-	case FlushSize, FlushDeadline, FlushShutdown:
+	case FlushSize, FlushIdle, FlushShutdown:
 	default:
 		t.Fatalf("flush = %v", f["flush"])
 	}
@@ -84,7 +83,7 @@ func TestEstimateTracedCacheHit(t *testing.T) {
 // interval, so they add up to the engine-observed wall time per request.
 func TestTracedRequestsFeedStageHistograms(t *testing.T) {
 	m := testModel(1)
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 2, MaxWait: 100 * time.Microsecond, CacheEntries: -1})
+	e := NewEngine(NewRegistry(m), Config{MaxBatch: 2, CacheEntries: -1})
 	defer e.Close()
 
 	names := []string{
@@ -141,9 +140,7 @@ func TestUntracedRequestsSkipStageHistograms(t *testing.T) {
 // Every flush is attributed to exactly one reason counter.
 func TestFlushReasonCounters(t *testing.T) {
 	m := testModel(1)
-
-	sizeBefore := testObsCounter("serving.batch.flush_size")
-	deadlineBefore := testObsCounter("serving.batch.flush_deadline")
+	before := readBatchCounts()
 
 	// MaxBatch 1: every request is its own size-flushed batch.
 	e := NewEngine(NewRegistry(m), Config{MaxBatch: 1, CacheEntries: -1})
@@ -153,49 +150,15 @@ func TestFlushReasonCounters(t *testing.T) {
 		}
 	}
 	e.Close()
-	if got := testObsCounter("serving.batch.flush_size") - sizeBefore; got != 3 {
-		t.Fatalf("size flushes = %d, want 3", got)
-	}
-
-	// A lone request in a huge batch flushes on the deadline.
-	e = NewEngine(NewRegistry(m), Config{MaxBatch: 1024, MaxWait: time.Millisecond, Workers: 1, CacheEntries: -1})
-	if _, err := e.Estimate(context.Background(), binVec(9, m.InDim), 0); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	if got := testObsCounter("serving.batch.flush_deadline") - deadlineBefore; got == 0 {
-		t.Fatal("deadline flush not counted")
+	if got, want := readBatchCounts().minus(before), (batchCounts{calls: 3, rows: 3, size: 3}); got != want {
+		t.Fatalf("counters moved by %+v, want %+v", got, want)
 	}
 }
 
-// Close drains queued requests through shutdown flushes, and they are
-// counted as such.
+// Requests still queued when Close is called drain through the worker, and
+// the batch that finds the queue closed flushes under reason shutdown.
 func TestShutdownFlushCounted(t *testing.T) {
-	m := testModel(1)
-	before := testObsCounter("serving.batch.flush_shutdown")
-
-	// No standing workers: requests pile up in the queue, then Close's
-	// drain (run by a worker started here) flushes them with reason
-	// "shutdown" because the channel closes before MaxBatch is reached.
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 64, MaxWait: time.Hour, Workers: 1, QueueDepth: 16})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Estimate(context.Background(), binVec(int64(i), m.InDim), 0); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	time.Sleep(10 * time.Millisecond) // let the worker start forming the batch
-	e.Close()
-	wg.Wait()
-
-	if got := testObsCounter("serving.batch.flush_shutdown"); got == before {
-		t.Fatal("shutdown flush not counted")
-	}
+	checkParkedBacklog(t, 8, 3, true, batchCounts{calls: 1, rows: 3, shutdown: 1})
 }
 
 // CurveCheck sees every freshly computed τ-sweep row (and the untrained
@@ -205,7 +168,7 @@ func TestCurveCheckInvoked(t *testing.T) {
 	var mu sync.Mutex
 	var rows int
 	var badLen bool
-	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheEntries: -1,
+	e := NewEngine(NewRegistry(m), Config{MaxBatch: 4, CacheEntries: -1,
 		CurveCheck: func(curve []float64) {
 			mu.Lock()
 			rows++
