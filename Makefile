@@ -8,9 +8,9 @@ VERSION ?= dev
 GITSHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X main.buildVersion=$(VERSION) -X main.buildSHA=$(GITSHA)
 
-.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot bench-obs bench-serving bench-train bench-kernels bench-autopilot
+.PHONY: ci lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-check bench-cluster bench-kernels
 
-ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot
+ci: lint staticcheck vet build test docs-lint race-serving race-obs race-train race-cluster race-infer race-autopilot fuzz-smoke perfbench-check
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -82,33 +82,29 @@ race-autopilot:
 	$(GO) test -race -count=3 ./internal/autopilot
 	$(GO) test -race -count=2 ./cmd/cardnet -run 'Autopilot|HealthzShape'
 
-# Regenerate the instrumentation-overhead baseline (results/BENCH_obs.json).
-bench-obs:
-	$(GO) run ./cmd/cardnet -mode obsbench -dataset HM-ImageNet -n 1200 \
-		-calls 4000 -benchout results/BENCH_obs.json
+# Short native-fuzzing pass over the fuzzed parsers of untrusted bytes
+# (checkpoint frames, /estimate requests): no panics, and whatever a parser
+# accepts honors its contract. New corpus entries stay in the Go build
+# cache, not in the tree.
+fuzz-smoke:
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
+	$(GO) test ./cmd/cardnet -run '^$$' -fuzz '^FuzzEstimateRequest$$' -fuzztime 5s
 
-# Regenerate the serving-throughput baseline (results/BENCH_serving.json):
-# batched vs per-request forward passes, the estimate cache, admission
-# control under overload, and the router scaling/failover experiments.
-bench-serving:
-	$(GO) run ./cmd/cardnet -mode servebench -dataset HM-ImageNet -n 1200 \
-		-calls 4000 -cluster -benchout results/BENCH_serving.json
+# Build, vet and unit-test the benchmark module, so a change that removes
+# program API perfbench uses fails here instead of in a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
-# Regenerate the training-scalability baseline (results/BENCH_train.json):
-# full training runs at workers 1/2/4/NumCPU plus parallel-kernel GFLOP/s.
-bench-train:
-	$(GO) run ./cmd/cardnet -mode trainbench -dataset HM-ImageNet -n 1200 \
-		-benchepochs 8 -benchout results/BENCH_train.json
-
-# Regenerate the closed-loop baseline (results/BENCH_autopilot.json): trigger
-# latency over the dwell window, shadow-tap overhead on the all-τ estimate
-# path, and client-visible downtime across the hot swap (must be 0 errors).
-bench-autopilot:
-	$(GO) run ./cmd/cardnet -mode autopilotbench -dataset HM-ImageNet -n 1200 \
-		-calls 1500 -benchout results/BENCH_autopilot.json
+# Regenerate the router fleet baseline (results/BENCH_cluster.json): scaling
+# over 1/2/4 replicas, a mid-run replica kill (client 5xx must be 0), and the
+# cost of cross-process tracing. Single-process performance is measured by
+# perfbench (see perfbench/README.md).
+bench-cluster:
+	$(GO) run ./cmd/cardnet -mode clusterbench -dataset HM-ImageNet -n 1200 \
+		-benchout results/BENCH_cluster.json
 
 # Kernel-level GFLOP/s table for the inference fast path: the f64/f32 ABT
-# kernels and the zero-skip-vs-branch-free dense matmul comparison, all at
-# the trainbench harness shape.
+# kernels and the zero-skip-vs-branch-free dense matmul comparison, all at a
+# Φ hidden-layer shape (256-row batch through a 512×512 layer, paper §9.1.3).
 bench-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -bench 'KernelABT|ZeroSkip' -benchmem

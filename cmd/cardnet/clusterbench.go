@@ -2,31 +2,76 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cardnet/internal/cluster"
 	"cardnet/internal/core"
+	"cardnet/internal/metrics"
 	"cardnet/internal/obs"
 	"cardnet/internal/obs/tracescan"
 	"cardnet/internal/serving"
 	"cardnet/internal/tensor"
 )
 
-// admissionBench records the admission-control surface of the serving stack
-// under deliberate overload: a tiny queue, one worker, concurrent clients.
-// The 503s here are the contract — load the cluster router fails over on.
-type admissionBench struct {
-	Calls            int     `json:"calls"`
-	Rejected503      int     `json:"rejected_503"`
-	RetryAfterSeen   int     `json:"retry_after_seen"`
-	RejectedFraction float64 `json:"rejected_fraction"`
+// clusterBenchCalls is how many sequential requests the tracing-overhead
+// experiment sends through each fleet configuration.
+const clusterBenchCalls = 4000
+
+// clusterBenchReport is the results/BENCH_cluster.json schema: router
+// scaling over 1/2/4 replicas, the mid-run replica kill, and the cost of
+// cross-process tracing. perfbench drives a single process, so this mode is
+// the only measurement of the multi-replica paths.
+type clusterBenchReport struct {
+	Dataset        string                 `json:"dataset"`
+	Records        int                    `json:"records"`
+	InDim          int                    `json:"in_dim"`
+	TauMax         int                    `json:"tau_max"`
+	Accel          bool                   `json:"accel"`
+	Cluster        *clusterBenchSection   `json:"cluster"`
+	Failover       *failoverBenchSection  `json:"failover"`
+	ClusterTracing *clusterTracingSection `json:"cluster_tracing"`
+}
+
+// latencyStats summarizes one measured configuration in microseconds.
+type latencyStats struct {
+	Calls     int     `json:"calls"`
+	P50Micros float64 `json:"p50_us"`
+	P99Micros float64 `json:"p99_us"`
+	MeanMicro float64 `json:"mean_us"`
+}
+
+// summarize reduces per-call latencies (µs) to nearest-rank p50/p99 and
+// the mean.
+func summarize(durs []float64) latencyStats {
+	sorted := append([]float64(nil), durs...)
+	sort.Float64s(sorted)
+	var sum float64
+	for _, d := range sorted {
+		sum += d
+	}
+	return latencyStats{
+		Calls:     len(sorted),
+		P50Micros: metrics.Quantile(sorted, 0.50),
+		P99Micros: metrics.Quantile(sorted, 0.99),
+		MeanMicro: sum / float64(len(sorted)),
+	}
+}
+
+// overheadPct is how much slower on is than off, in percent of off.
+func overheadPct(on, off float64) float64 {
+	if off == 0 {
+		return 0
+	}
+	return (on - off) / off * 100
 }
 
 // clusterRun is one fleet size's throughput measurement through the router.
@@ -99,61 +144,6 @@ func benchClient() *http.Client {
 		Timeout:   10 * time.Second,
 		Transport: &http.Transport{MaxIdleConnsPerHost: 64},
 	}
-}
-
-// runAdmissionBench floods a deliberately tiny engine (queue depth 2, one
-// worker, no cache) through the real HTTP handler and counts what clients
-// see: 503s, Retry-After hints, and the rejected fraction.
-func runAdmissionBench(m *core.Model, testX *tensor.Matrix) (*admissionBench, error) {
-	eng := serving.NewEngine(serving.NewRegistry(m), serving.Config{
-		MaxBatch:     1,
-		QueueDepth:   2,
-		Workers:      1,
-		CacheEntries: -1,
-	})
-	defer eng.Close()
-	ts := httptest.NewServer(newServeMux(eng, serveOptions{}))
-	defer ts.Close()
-	client := benchClient()
-
-	const clients, per = 16, 50
-	bodies := make([][]byte, clients)
-	for c := range bodies {
-		bodies[c] = estimateBodyJSON(testX.Row(c%testX.Rows), c%(m.Cfg.TauMax+1))
-	}
-	var rejected, retryAfter, errs atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for c := 0; c < clients; c++ {
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				resp, err := client.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(bodies[c]))
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					rejected.Add(1)
-					if resp.Header.Get("Retry-After") != "" {
-						retryAfter.Add(1)
-					}
-				}
-				resp.Body.Close()
-			}
-		}(c)
-	}
-	wg.Wait()
-	if n := errs.Load(); n > 0 {
-		return nil, fmt.Errorf("admission bench: %d transport errors", n)
-	}
-	total := clients * per
-	return &admissionBench{
-		Calls:            total,
-		Rejected503:      int(rejected.Load()),
-		RetryAfterSeen:   int(retryAfter.Load()),
-		RejectedFraction: float64(rejected.Load()) / float64(total),
-	}, nil
 }
 
 // estimateBodyJSON builds the POST /estimate body for one encoded query.
@@ -268,10 +258,32 @@ func (f *benchFleet) close() {
 	f.samplers, f.sinks = nil, nil
 }
 
-// runClusterBench measures aggregate throughput through the router at 1, 2,
+// runClusterBench runs the three fleet experiments against in-process
+// replicas of m, answering queries drawn from testX.
+func runClusterBench(m *core.Model, testX *tensor.Matrix) (*clusterBenchReport, error) {
+	rep := &clusterBenchReport{InDim: m.InDim, TauMax: m.Cfg.TauMax, Accel: m.Cfg.Accel}
+	var err error
+	if rep.Cluster, rep.Failover, err = runScalingBench(m, testX); err != nil {
+		return nil, err
+	}
+	if rep.ClusterTracing, err = runTracingOverheadBench(m, testX); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+func (r *clusterBenchReport) write(path string) error {
+	doc, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(doc, '\n'), 0o644)
+}
+
+// runScalingBench measures aggregate throughput through the router at 1, 2,
 // and 4 replicas over a fixed working set of distinct queries, then runs the
 // kill-a-replica failover experiment at 2 replicas.
-func runClusterBench(m *core.Model, testX *tensor.Matrix) (*clusterBenchSection, *failoverBenchSection, error) {
+func runScalingBench(m *core.Model, testX *tensor.Matrix) (*clusterBenchSection, *failoverBenchSection, error) {
 	const cacheEntries = 320
 	tauMax := m.Cfg.TauMax
 	// Distinct (x, τ) pairs: 1.6× one replica's cache, so a lone replica's
@@ -346,7 +358,7 @@ func runClusterBench(m *core.Model, testX *tensor.Matrix) (*clusterBenchSection,
 // rounds so machine drift is charged to every configuration equally.
 // Each traced run's logs are then assembled with tracescan, so the section
 // also vouches that router-sampled requests joined and tiled at both rates.
-func runTracingOverheadBench(m *core.Model, testX *tensor.Matrix, calls int) (*clusterTracingSection, error) {
+func runTracingOverheadBench(m *core.Model, testX *tensor.Matrix) (*clusterTracingSection, error) {
 	const cacheEntries = 1024
 	tauMax := m.Cfg.TauMax
 	keys := cacheEntries / 2 // working set fits every cache: steady-state latency
@@ -418,7 +430,7 @@ func runTracingOverheadBench(m *core.Model, testX *tensor.Matrix, calls int) (*c
 	// machine noise spreads uniformly across the three configurations instead
 	// of being charged to whichever fleet owned that time slice — which is
 	// what dominates tail percentiles on a small host.
-	for i := 0; i < calls; i++ {
+	for i := 0; i < clusterBenchCalls; i++ {
 		for k := range fleets {
 			j := (i + k) % len(fleets)
 			l, err := drive(fleets[j], i, 1)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"cardnet/internal/core"
 	"cardnet/internal/obs"
 	"cardnet/internal/serving"
-	"cardnet/internal/tensor"
 )
 
 // tinyModel returns a small untrained model (serving latency and plumbing do
@@ -137,18 +135,17 @@ func TestServeEstimateAndMetrics(t *testing.T) {
 	}
 }
 
-// Satellite: every malformed input fails with a deterministic 400.
-func TestServeEstimateValidation(t *testing.T) {
-	m := tinyModel(3)
-	ts, _ := newTestServer(t, m, serving.Config{})
+// namedInput is one labelled request body or URL query.
+type namedInput struct{ name, in string }
 
+// badEstimateInputs returns malformed /estimate POST bodies and GET queries
+// (without the leading "?"), each of which must be answered with a 400.
+func badEstimateInputs(m *core.Model) (post, get []namedInput) {
 	x := binXStrings(m)
 	xJSON := "[" + strings.Join(x, ",") + "]"
 	xCSV := strings.Join(x, ",")
 
-	post := []struct {
-		name, body string
-	}{
+	post = []namedInput{
 		{"malformed JSON", `{not json`},
 		{"empty body", ``},
 		{"empty x", `{"x":[],"tau":1}`},
@@ -162,26 +159,32 @@ func TestServeEstimateValidation(t *testing.T) {
 		{"tau beyond TauMax", `{"x":` + xJSON + `,"tau":` + fmt.Sprint(m.Cfg.TauMax+1) + `}`},
 		{"string x", `{"x":"101","tau":1}`},
 	}
+	get = []namedInput{
+		{"empty x", "tau=1"},
+		{"junk x", "x=1,zebra,0&tau=1"},
+		{"short x", "x=1,0&tau=1"},
+		{"non-binary x", "x=" + strings.Replace(xCSV, "1", "7", 1) + "&tau=1"},
+		{"junk tau", "x=" + xCSV + "&tau=many"},
+		{"tau beyond TauMax", "x=" + xCSV + "&tau=99"},
+		{"missing tau", "x=" + xCSV},
+	}
+	return post, get
+}
+
+// Satellite: every malformed input fails with a deterministic 400.
+func TestServeEstimateValidation(t *testing.T) {
+	m := tinyModel(3)
+	ts, _ := newTestServer(t, m, serving.Config{})
+
+	post, get := badEstimateInputs(m)
 	for _, tc := range post {
-		resp, _ := postEstimate(t, ts, tc.body)
+		resp, _ := postEstimate(t, ts, tc.in)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s: status=%d, want 400", tc.name, resp.StatusCode)
 		}
 	}
-
-	get := []struct {
-		name, query string
-	}{
-		{"empty x", "?tau=1"},
-		{"junk x", "?x=1,zebra,0&tau=1"},
-		{"short x", "?x=1,0&tau=1"},
-		{"non-binary x", "?x=" + strings.Replace(xCSV, "1", "7", 1) + "&tau=1"},
-		{"junk tau", "?x=" + xCSV + "&tau=many"},
-		{"tau beyond TauMax", "?x=" + xCSV + "&tau=99"},
-		{"missing tau", "?x=" + xCSV},
-	}
 	for _, tc := range get {
-		resp, err := http.Get(ts.URL + "/estimate" + tc.query)
+		resp, err := http.Get(ts.URL + "/estimate?" + tc.in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,103 +394,6 @@ func TestServeHealthzAndPprof(t *testing.T) {
 	}
 }
 
-func TestObsBenchReport(t *testing.T) {
-	m := tinyModel(3)
-	x := make([]float64, m.InDim*4)
-	for i := range x {
-		x[i] = float64(i % 2)
-	}
-	testX := matrixFromData(m.InDim, x)
-	rep, err := runObsBench(m, testX, m.Cfg.TauMax, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.On.Calls == 0 || rep.Off.Calls == 0 {
-		t.Fatalf("empty report: %+v", rep)
-	}
-	if rep.On.P50Micros <= 0 || rep.Off.P50Micros <= 0 {
-		t.Fatalf("non-positive latencies: %+v", rep)
-	}
-	if !obs.Enabled() {
-		t.Fatal("obsbench left instrumentation disabled")
-	}
-	if rep.Telemetry.On.Calls == 0 || rep.Telemetry.Off.Calls == 0 {
-		t.Fatalf("telemetry overhead section empty: %+v", rep.Telemetry)
-	}
-	if rep.Telemetry.On.P50Micros <= 0 || rep.Telemetry.Off.P50Micros <= 0 {
-		t.Fatalf("telemetry overhead non-positive latencies: %+v", rep.Telemetry)
-	}
-	path := t.TempDir() + "/BENCH_obs.json"
-	if err := rep.write(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back obsBenchReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.On.Calls != rep.On.Calls {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-}
-
-func TestServeBenchReport(t *testing.T) {
-	m := tinyModel(3)
-	x := make([]float64, m.InDim*40)
-	for i := range x {
-		x[i] = float64((i / 3) % 2)
-	}
-	testX := matrixFromData(m.InDim, x)
-	rep, err := runServeBench(m, testX, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerRequest.QPS <= 0 || len(rep.Batched) == 0 {
-		t.Fatalf("empty report: %+v", rep)
-	}
-	for _, b := range rep.Batched {
-		if !b.Identical {
-			t.Fatalf("batch size %d: batched estimates diverged from per-sample", b.Size)
-		}
-		if b.QPS <= 0 {
-			t.Fatalf("batch size %d: non-positive throughput", b.Size)
-		}
-	}
-	if rep.Engine.ColdQPS <= 0 || rep.Engine.WarmQPS <= 0 {
-		t.Fatalf("engine bench empty: %+v", rep.Engine)
-	}
-	if rep.Engine.HitRatio <= 0 {
-		t.Fatalf("warm run recorded no cache hits: %+v", rep.Engine)
-	}
-	if rep.Tracing.Traced.Calls == 0 || rep.Tracing.Untraced.Calls == 0 {
-		t.Fatalf("tracing bench empty: %+v", rep.Tracing)
-	}
-	if rep.Tracing.MeanBatchSize <= 0 {
-		t.Fatalf("tracing bench recorded no batch sizes: %+v", rep.Tracing)
-	}
-	path := t.TempDir() + "/BENCH_serving.json"
-	if err := rep.write(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back serveBenchReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Batched) != len(rep.Batched) {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	if back.Tracing.Traced.Calls != rep.Tracing.Traced.Calls {
-		t.Fatalf("tracing round trip mismatch: %+v", back.Tracing)
-	}
-}
-
 func parseFloats(t *testing.T, ss []string) []float64 {
 	t.Helper()
 	out := make([]float64, len(ss))
@@ -495,8 +401,4 @@ func parseFloats(t *testing.T, ss []string) []float64 {
 		fmt.Sscan(s, &out[i])
 	}
 	return out
-}
-
-func matrixFromData(cols int, data []float64) *tensor.Matrix {
-	return &tensor.Matrix{Rows: len(data) / cols, Cols: cols, Data: data}
 }

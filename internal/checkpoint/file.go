@@ -56,13 +56,7 @@ func WriteFileAtomic(path, kind string, payload []byte) error {
 		return err
 	}
 
-	var hdr [headerSize]byte
-	copy(hdr[0:4], fileMagic)
-	hdr[4] = fileVersion
-	copy(hdr[5:9], kind)
-	binary.LittleEndian.PutUint64(hdr[9:17], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[17:21], crc32.ChecksumIEEE(payload))
-
+	hdr := frameHeader(kind, payload)
 	if _, err := tmp.Write(hdr[:]); err != nil {
 		return fail(fmt.Errorf("checkpoint: write header: %w", err))
 	}
@@ -80,6 +74,18 @@ func WriteFileAtomic(path, kind string, payload []byte) error {
 		return fmt.Errorf("checkpoint: rename into place: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// frameHeader returns the header that frames payload as the given kind:
+// magic, version, kind, payload length and the payload's CRC32.
+func frameHeader(kind string, payload []byte) [headerSize]byte {
+	var hdr [headerSize]byte
+	copy(hdr[0:4], fileMagic)
+	hdr[4] = fileVersion
+	copy(hdr[5:9], kind)
+	binary.LittleEndian.PutUint64(hdr[9:17], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[17:21], crc32.ChecksumIEEE(payload))
+	return hdr
 }
 
 // syncDir fsyncs a directory so a just-completed rename survives power loss.

@@ -424,24 +424,133 @@ func TestIncrementalTrainImprovesAfterUpdate(t *testing.T) {
 	}
 }
 
+// TestEstimatorEndToEndMonotoneInTheta checks Lemma 1 end to end: for every
+// feature extractor, Estimator.Estimate is non-decreasing in θ over a dense
+// grid running past ThetaMax, for an untrained and a briefly trained model.
 func TestEstimatorEndToEndMonotoneInTheta(t *testing.T) {
-	train, valid, ext, recs := hammingFixture(t, 200)
-	cfg := tinyConfig(12, true)
-	cfg.Epochs = 6
-	m := New(cfg, train.X.Cols)
-	m.Train(train, valid)
-	est := NewEstimator[dist.BitVector](ext, m)
-	q := recs[0]
-	prev := -1.0
-	for theta := 0.0; theta <= 12; theta++ {
-		v := est.Estimate(q, theta)
-		if v < prev-1e-9 {
-			t.Fatalf("estimate not monotone in θ at %v", theta)
+	rng := rand.New(rand.NewSource(17))
+	t.Run("hamming", func(t *testing.T) {
+		recs := make([]dist.BitVector, 60)
+		for i := range recs {
+			recs[i] = dist.NewBitVector(32)
+			for b := 0; b < 32; b++ {
+				recs[i].SetBit(b, rng.Intn(2) == 1)
+			}
 		}
-		prev = v
+		checkMonotoneInTheta(t, feature.NewHammingExtractor(32, 12, 12), recs,
+			func(a, b dist.BitVector) float64 { return float64(dist.Hamming(a, b)) })
+	})
+	t.Run("edit", func(t *testing.T) {
+		const alphabet = "abcd"
+		recs := make([]string, 60)
+		for i := range recs {
+			b := make([]byte, 4+rng.Intn(6))
+			for j := range b {
+				b[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			recs[i] = string(b)
+		}
+		checkMonotoneInTheta(t, feature.NewEditExtractor(alphabet, 10, 6, 6), recs,
+			func(a, b string) float64 { return float64(dist.Edit(a, b)) })
+	})
+	t.Run("jaccard", func(t *testing.T) {
+		recs := make([]dist.IntSet, 60)
+		for i := range recs {
+			toks := make([]uint32, 3+rng.Intn(8))
+			for j := range toks {
+				toks[j] = uint32(rng.Intn(24))
+			}
+			recs[i] = dist.NewIntSet(toks)
+		}
+		checkMonotoneInTheta(t, feature.NewJaccardExtractor(16, 2, 0.6, 12, 3), recs, dist.Jaccard)
+	})
+	t.Run("euclidean", func(t *testing.T) {
+		recs := make([][]float64, 60)
+		for i := range recs {
+			recs[i] = make([]float64, 8)
+			for j := range recs[i] {
+				recs[i][j] = rng.NormFloat64()
+			}
+			dist.Normalize(recs[i])
+		}
+		checkMonotoneInTheta(t, feature.NewEuclideanExtractor(12, 8, 7, 1.0, 0.8, 12, 5), recs, dist.Euclidean)
+	})
+	t.Run("l1", func(t *testing.T) {
+		recs := make([][]int, 60)
+		for i := range recs {
+			recs[i] = make([]int, 4)
+			for j := range recs[i] {
+				recs[i][j] = rng.Intn(6)
+			}
+		}
+		checkMonotoneInTheta(t, feature.NewL1Extractor(4, 5, 10, 10), recs,
+			func(a, b []int) float64 {
+				var d int
+				for i := range a {
+					d += max(a[i]-b[i], b[i]-a[i])
+				}
+				return float64(d)
+			})
+	})
+}
+
+// checkMonotoneInTheta trains a model on exact brute-force labels over recs
+// and asserts that Estimate never decreases along a dense θ sweep from 0 to
+// 1.5·ThetaMax, untrained and trained, for queries drawn from recs.
+func checkMonotoneInTheta[R any](t *testing.T, ext feature.Extractor[R], recs []R, d func(a, b R) float64) {
+	t.Helper()
+	counts := func(q R, grid []float64) []int {
+		out := make([]int, len(grid))
+		for _, r := range recs {
+			dq := d(q, r)
+			for i, theta := range grid {
+				if dq <= theta {
+					out[i]++
+				}
+			}
+		}
+		return out
 	}
-	if est.Count(q, 5) < 0 {
-		t.Fatal("Count must be non-negative")
+	grid := dataset.ThresholdGrid(ext.ThetaMax(), 12)
+	half := len(recs) / 2
+	train, err := BuildTrainSet(ext, recs[:half], grid, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := BuildTrainSet(ext, recs[half:], grid, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig(ext.TauMax(), true)
+	cfg.VAEEpochs = 1
+	cfg.Epochs = 2
+	trained := New(cfg, ext.Dim())
+	trained.Train(train, valid)
+	models := map[string]*Model{"untrained": New(cfg, ext.Dim()), "trained": trained}
+
+	top := 1.5 * ext.ThetaMax()
+	step := ext.ThetaMax() / 97 // off the grid, so θ lands between τ boundaries too
+	for name, m := range models {
+		est := NewEstimator(ext, m)
+		rises := false
+		for qi := 0; qi < len(recs); qi += 7 {
+			q := recs[qi]
+			prev := math.Inf(-1)
+			for theta := 0.0; theta <= top; theta += step {
+				v := est.Estimate(q, theta)
+				if v < prev {
+					t.Fatalf("%s model, query %d: Estimate(θ=%.4f)=%g < %g at the previous θ", name, qi, theta, v, prev)
+				}
+				prev = v
+			}
+			rises = rises || prev > est.Estimate(q, 0)
+			if est.Count(q, ext.ThetaMax()/2) < 0 {
+				t.Fatalf("%s model, query %d: negative Count", name, qi)
+			}
+		}
+		if !rises {
+			t.Fatalf("%s model: no query's estimate grows with θ; the sweep proves nothing", name)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cardnet/internal/core"
+	"cardnet/internal/metrics"
 	"cardnet/internal/tensor"
 )
 
@@ -84,14 +85,7 @@ func qErrP99(got, want *tensor.Matrix) float64 {
 		qs[i] = q
 	}
 	sort.Float64s(qs)
-	idx := int(0.99*float64(len(qs))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(qs) {
-		idx = len(qs) - 1
-	}
-	return qs[idx]
+	return metrics.Quantile(qs, 0.99)
 }
 
 // sweepInputs returns the gate's seeded pseudo-random binary validation

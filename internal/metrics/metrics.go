@@ -137,17 +137,21 @@ func ImprovementRatio(replaced, full float64) float64 {
 }
 
 // Quantile returns the nearest-rank q-quantile of an ascending-sorted
-// slice: the element at index ⌊q·n⌋, clamped to the last element (0 for an
-// empty slice).
+// slice: the element of 1-based rank ⌈q·n⌉, clamped to [1, n], so at least
+// a q share of the elements are at or below it. q·n is snapped to the
+// nearest whole number when only float error separates them (0.07·100 =
+// 7.000000000000001 is rank 7, not 8). Returns 0 for an empty slice.
 func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	r := q * float64(n)
+	if k := math.Round(r); math.Abs(r-k) <= 1e-9*k {
+		r = k
 	}
-	return sorted[i]
+	rank := max(1, min(int(math.Ceil(r)), n))
+	return sorted[rank-1]
 }
 
 func checkLens(actual, estimated []float64) {

@@ -130,10 +130,24 @@ func TestMetricBoundsProperty(t *testing.T) {
 func TestQuantileNearestRank(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {0.5, 6}, {0.9, 10}, {0.99, 10}, {1, 10},
+		{0, 1}, {0.05, 1}, {0.1, 1}, {0.11, 2}, {0.5, 5}, {0.51, 6},
+		{0.9, 9}, {0.99, 10}, {1, 10},
 	} {
 		if got := Quantile(sorted, tc.q); got != tc.want {
 			t.Errorf("Quantile(q=%g) = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+	// 0.07·100 evaluates to 7.000000000000001 in float64; float error must
+	// not push the rank from 7 to 8.
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(i + 1)
+	}
+	for _, tc := range []struct{ q, want float64 }{
+		{0.07, 7}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {0.999, 100},
+	} {
+		if got := Quantile(hundred, tc.q); got != tc.want {
+			t.Errorf("Quantile(1..100, q=%g) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
 	if got := Quantile(nil, 0.5); got != 0 {

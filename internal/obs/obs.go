@@ -7,8 +7,8 @@
 // A process-wide Default registry is what the core model, the bench harness,
 // and the `cardnet serve` /metrics endpoint share. Instrumentation can be
 // switched off globally with SetEnabled(false), which turns every record
-// call into a single atomic load — the `cardnet -mode obsbench` baseline
-// measures the difference.
+// call into a single atomic load. perfbench's trace.overhead_pct reports
+// what per-request tracing costs on each workload.
 package obs
 
 import (

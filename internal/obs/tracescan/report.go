@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"cardnet/internal/metrics"
 )
 
 // StageStats is the fleet-wide latency attribution of one stage across all
@@ -150,7 +152,7 @@ func BuildReport(events []Event, skewUs float64, topN int) *Report {
 		}
 		vs := append([]float64(nil), a.vals...)
 		sort.Float64s(vs)
-		s.P50, s.P95, s.P99 = quantile(vs, 0.50), quantile(vs, 0.95), quantile(vs, 0.99)
+		s.P50, s.P95, s.P99 = metrics.Quantile(vs, 0.50), metrics.Quantile(vs, 0.95), metrics.Quantile(vs, 0.99)
 		s.Max = vs[len(vs)-1]
 		for _, sh := range a.shares {
 			s.Share += sh
@@ -224,21 +226,6 @@ func BuildReport(events []Event, skewUs float64, topN int) *Report {
 		rep.Slow = append(rep.Slow, row)
 	}
 	return rep
-}
-
-// quantile reads quantile q from sorted vs (nearest-rank).
-func quantile(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(vs)) + 0.5)
-	if i < 1 {
-		i = 1
-	}
-	if i > len(vs) {
-		i = len(vs)
-	}
-	return vs[i-1]
 }
 
 // WriteText renders the report for humans: assembly summary, per-process

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// benchDims matches the trainbench GFLOP/s harness (M×K · (N×K)ᵀ).
+// benchDims is a Φ hidden-layer shape (paper §9.1.3): a 256-row batch
+// through a 512×512 layer, M×K · (N×K)ᵀ.
 const (
 	benchM = 256
 	benchK = 512
